@@ -1,5 +1,6 @@
 //! Microbenchmarks of the substrates the reproduction is built on: the
-//! cache simulator, the codec, the XML/ODF parser, call marshaling, and
+//! cache simulator (single accesses and the range walks the workload
+//! models make), the codec, the XML/ODF parser, call marshaling, and
 //! the discrete-event engine. These guard the harness's own performance —
 //! a 10-minute simulated run must stay cheap in wall-clock terms.
 
@@ -22,6 +23,34 @@ fn bench_cache(c: &mut Criterion) {
             for i in 0..4096u64 {
                 black_box(cache.access(i * 64, AccessKind::Read));
             }
+        });
+    });
+    g.finish();
+}
+
+/// The traffic the TiVoPC models actually generate: 64 KiB buffer walks
+/// over a footprint four times the L2, and device DMA claiming a buffer
+/// the CPU has just written.
+fn bench_cache_walks(c: &mut Criterion) {
+    const WALK: usize = 64 * 1024;
+    const FOOTPRINT: u64 = 1024 * 1024;
+    let mut g = c.benchmark_group("cache_walks");
+    g.throughput(Throughput::Elements((WALK / 64) as u64));
+    g.bench_function("touch_range_64k_over_1m", |b| {
+        let mut cache = Cache::new(CacheConfig::paper_l2());
+        let mut base = 0u64;
+        b.iter(|| {
+            base = (base + WALK as u64) % FOOTPRINT;
+            black_box(cache.touch_range(base, WALK, AccessKind::Read))
+        });
+    });
+    g.bench_function("write_then_dma_invalidate_64k", |b| {
+        let mut cache = Cache::new(CacheConfig::paper_l2());
+        let mut base = 0u64;
+        b.iter(|| {
+            base = (base + WALK as u64) % FOOTPRINT;
+            cache.touch_range(base, WALK, AccessKind::Write);
+            black_box(cache.invalidate_range(base, WALK))
         });
     });
     g.finish();
@@ -94,6 +123,7 @@ fn bench_engine(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cache,
+    bench_cache_walks,
     bench_codec,
     bench_odf,
     bench_call,

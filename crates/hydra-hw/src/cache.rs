@@ -54,6 +54,15 @@ impl CacheConfig {
         self.size_bytes / self.line_bytes / self.ways
     }
 
+    /// Number of lines covered by `[addr, addr + len)`.
+    pub(crate) fn lines_spanned(&self, addr: u64, len: usize) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let shift = self.line_bytes.trailing_zeros();
+        ((addr + len as u64 - 1) >> shift) - (addr >> shift) + 1
+    }
+
     /// Validates the geometry.
     ///
     /// # Errors
@@ -81,22 +90,6 @@ impl CacheConfig {
         Ok(())
     }
 }
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic stamp of last touch; larger is more recent.
-    lru: u64,
-}
-
-const EMPTY_LINE: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    lru: 0,
-};
 
 /// Access counters of a [`Cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -130,6 +123,11 @@ impl CacheStats {
 
 /// A set-associative LRU cache model.
 ///
+/// Each set is a ring of ways packed as `tag << 1 | dirty` in recency order,
+/// from its head (most recent) round to the victim just behind the head.
+/// Invalid ways collect at the victim end, so a miss fills one before it
+/// evicts a valid line, and costs O(1) either way.
+///
 /// # Examples
 ///
 /// ```
@@ -142,10 +140,16 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    stamp: u64,
+    /// `sets × ways` packed ways, one ring per set.
+    ways: Vec<u64>,
+    /// Index within its ring of each set's most recent way.
+    heads: Vec<usize>,
     stats: CacheStats,
 }
+
+/// An invalid way: an all-ones tag with a clear dirty bit. Lookups assert
+/// that no tag reaches it, which holds for every address below 2^63 - 1.
+const EMPTY: u64 = !1;
 
 impl Cache {
     /// Creates an empty cache.
@@ -157,11 +161,10 @@ impl Cache {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid cache config: {e}"));
-        let sets = vec![vec![EMPTY_LINE; config.ways]; config.sets()];
         Cache {
             config,
-            sets,
-            stamp: 0,
+            ways: vec![EMPTY; config.sets() * config.ways],
+            heads: vec![0; config.sets()],
             stats: CacheStats::default(),
         }
     }
@@ -181,125 +184,122 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn index_of(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes as u64;
-        let set = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        (set, tag)
+    /// Set index and tag of the line holding `addr`.
+    fn index(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.config.line_bytes.trailing_zeros();
+        let sets = self.heads.len() as u64;
+        ((line % sets) as usize, line / sets)
+    }
+
+    /// Calls `f` with the set and tag of every line in `[addr, addr + len)`,
+    /// stepping them instead of dividing per line.
+    fn walk(&mut self, addr: u64, len: usize, mut f: impl FnMut(&mut Self, usize, u64)) {
+        let (mut set, mut tag) = self.index(addr);
+        for _ in 0..self.config.lines_spanned(addr, len) {
+            f(self, set, tag);
+            set += 1;
+            if set == self.heads.len() {
+                set = 0;
+                tag += 1;
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn access_line(&mut self, set: usize, tag: u64, kind: AccessKind) -> AccessOutcome {
+        let (n, head) = (self.config.ways, self.heads[set]);
+        let victim = if head == 0 { n - 1 } else { head - 1 };
+        let ring = &mut self.ways[set * n..(set + 1) * n];
+        let dirty = u64::from(kind == AccessKind::Write);
+        let Some(mut i) = way_of(ring, tag) else {
+            let old = std::mem::replace(&mut ring[victim], tag << 1 | dirty);
+            self.heads[set] = victim;
+            self.stats.misses += 1;
+            self.stats.evictions += u64::from(old != EMPTY);
+            self.stats.write_backs += old & 1;
+            return AccessOutcome::Miss;
+        };
+        // The hit becomes the head: the ways ahead of it step back one, or
+        // the head steps back onto it if it was the victim.
+        let hit = ring[i] | dirty;
+        let front = if i == victim { i } else { head };
+        while i != front {
+            let prev = if i == 0 { n - 1 } else { i - 1 };
+            ring[i] = ring[prev];
+            i = prev;
+        }
+        ring[i] = hit;
+        self.heads[set] = i;
+        self.stats.hits += 1;
+        AccessOutcome::Hit
     }
 
     /// Performs one access at byte address `addr`.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let (set_idx, tag) = self.index_of(addr);
-        let set = &mut self.sets[set_idx];
-
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = stamp;
-            if kind == AccessKind::Write {
-                line.dirty = true;
-            }
-            self.stats.hits += 1;
-            return AccessOutcome::Hit;
-        }
-
-        self.stats.misses += 1;
-        // Choose a victim: an invalid way if any, else the LRU way.
-        let victim = match set.iter().position(|l| !l.valid) {
-            Some(i) => i,
-            None => {
-                let (i, _) = set
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.lru)
-                    .expect("ways > 0 by construction");
-                self.stats.evictions += 1;
-                if set[i].dirty {
-                    self.stats.write_backs += 1;
-                }
-                i
-            }
-        };
-        set[victim] = Line {
-            tag,
-            valid: true,
-            dirty: kind == AccessKind::Write,
-            lru: stamp,
-        };
-        AccessOutcome::Miss
+        let (set, tag) = self.index(addr);
+        self.access_line(set, tag, kind)
     }
 
     /// Accesses every line covered by `[addr, addr + len)`, returning the
     /// number of misses. This is how workload models "touch" a buffer.
     pub fn touch_range(&mut self, addr: u64, len: usize, kind: AccessKind) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let line = self.config.line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + len as u64 - 1) / line;
         let mut misses = 0;
-        for l in first..=last {
-            if self.access(l * line, kind) == AccessOutcome::Miss {
-                misses += 1;
-            }
-        }
+        self.walk(addr, len, |c, set, tag| {
+            misses += u64::from(c.access_line(set, tag, kind) == AccessOutcome::Miss);
+        });
         misses
     }
 
     /// True if the line containing `addr` is present.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index_of(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let (set, tag) = self.index(addr);
+        let n = self.config.ways;
+        way_of(&self.ways[set * n..(set + 1) * n], tag).is_some()
     }
 
     /// Invalidates every line whose address falls in `[addr, addr + len)`,
     /// counting write-backs of dirty lines. Returns the number of lines
     /// invalidated. This models coherent device DMA claiming host buffers.
     pub fn invalidate_range(&mut self, addr: u64, len: usize) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let line = self.config.line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + len as u64 - 1) / line;
         let mut invalidated = 0;
-        for l in first..=last {
-            let (set_idx, tag) = self.index_of(l * line);
-            if let Some(entry) = self.sets[set_idx]
-                .iter_mut()
-                .find(|e| e.valid && e.tag == tag)
-            {
-                if entry.dirty {
-                    self.stats.write_backs += 1;
+        self.walk(addr, len, |c, set, tag| {
+            let (n, head) = (c.config.ways, c.heads[set]);
+            let ring = &mut c.ways[set * n..(set + 1) * n];
+            if let Some(mut i) = way_of(ring, tag) {
+                c.stats.write_backs += ring[i] & 1;
+                // The freed way becomes the victim: the ways behind it step
+                // up one, or the head steps forward past it if it was the head.
+                let victim = if head == 0 { n - 1 } else { head - 1 };
+                let back = if i == head { i } else { victim };
+                while i != back {
+                    let next = if i + 1 == n { 0 } else { i + 1 };
+                    ring[i] = ring[next];
+                    i = next;
                 }
-                *entry = EMPTY_LINE;
+                ring[i] = EMPTY;
+                c.heads[set] = if i + 1 == n { 0 } else { i + 1 };
                 invalidated += 1;
             }
-        }
+        });
         invalidated
     }
 
     /// Invalidates every line, counting write-backs of dirty lines.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.valid && line.dirty {
-                    self.stats.write_backs += 1;
-                }
-                *line = EMPTY_LINE;
-            }
-        }
+        self.stats.write_backs += self.ways.iter().map(|w| w & 1).sum::<u64>();
+        self.ways.fill(EMPTY);
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|l| l.valid).count())
-            .sum()
+        self.ways.iter().filter(|&&w| w != EMPTY).count()
     }
+}
+
+/// Index within `ring` of the way holding `tag`, scanning from the end, where fills start.
+fn way_of(ring: &[u64], tag: u64) -> Option<usize> {
+    assert!(tag < EMPTY >> 1, "address beyond the modelled range");
+    ring.iter().rposition(|&w| w >> 1 == tag)
 }
 
 impl fmt::Display for Cache {

@@ -192,8 +192,7 @@ impl MemorySystem {
             return SimDuration::ZERO;
         }
         self.bytes_touched += len as u64;
-        let line = self.cache.config().line_bytes as u64;
-        let lines = (addr + len as u64 - 1) / line - addr / line + 1;
+        let lines = self.cache.config().lines_spanned(addr, len);
         let misses = self.cache.touch_range(addr, len, kind);
         self.latency.l2_hit * lines + self.latency.dram * misses
     }

@@ -10,15 +10,31 @@
 //! wall lines first. The calendar-vs-heap speedup is gated as a ratio:
 //! the *committed* report must show at least 2x, and live runs must
 //! never show the calendar losing to the heap.
+//!
+//! The wall-clock fields are only meaningful when one bench runs at a
+//! time, so every test takes its runs through [`run_engine_bench`] here,
+//! which serializes them across the test threads of this binary.
+
+use std::sync::Mutex;
 
 use hydra::obs::{check_budget, parse_budget};
-use hydra_bench::engine_bench::{
-    check_engine_bench, engine_snapshot, render_json, run_engine_bench,
-};
+use hydra_bench::engine_bench::{check_engine_bench, engine_snapshot, render_json, EngineBench};
 use hydra_bench::report::{read_u64, schema_version, sim_fields, SCHEMA_VERSION};
 
 const BASELINE: &str = include_str!("../budgets/bench_engine.json");
 const COMMITTED_REPORT: &str = include_str!("../BENCH_engine.json");
+
+/// Held for the length of one bench run.
+static BENCH_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs the engine bench with no other bench of this binary running
+/// beside it: parallel runs share the cores and skew the wall ratios.
+fn run_engine_bench() -> EngineBench {
+    // The lock guards no data, so a test that panicked holding it leaves
+    // nothing to repair.
+    let _alone = BENCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    hydra_bench::engine_bench::run_engine_bench()
+}
 
 #[test]
 fn engine_results_stay_within_committed_baseline() {
