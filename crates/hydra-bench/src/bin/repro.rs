@@ -48,10 +48,7 @@ const SELECTORS: &[(&str, &str)] = &[
         "trace",
         "demo deployment's Chrome trace-event JSON (pipe into Perfetto)",
     ),
-    (
-        "bench",
-        "bench [channel|engine|crossover]: benchmark report JSON (BENCH_*.json)",
-    ),
+    ("bench", "benchmark report JSON (BENCH_*.json)"),
     (
         "lint",
         "static deployment verification (JSON on stdout, non-zero on errors)",
@@ -78,7 +75,15 @@ fn usage() -> String {
          \x20 --help    this text\n\nSelectors:\n",
     );
     for (name, what) in SELECTORS {
-        out.push_str(&format!("  {name:<9} {what}\n"));
+        if *name == "bench" {
+            let benches: Vec<&str> = hydra_bench::BENCHES.iter().map(|(b, _)| *b).collect();
+            out.push_str(&format!(
+                "  {name:<9} bench [{}]: {what}\n",
+                benches.join("|")
+            ));
+        } else {
+            out.push_str(&format!("  {name:<9} {what}\n"));
+        }
     }
     out
 }
@@ -105,7 +110,7 @@ fn main() -> ExitCode {
     // a deployment file, not a selector. Canonical JSON goes to stdout
     // (pipe into a .json artifact), human-readable findings to stderr,
     // and the exit code is non-zero iff any error-severity diagnostic
-    // fired — the CI verify-gate contract.
+    // fired — the contract the golden-artifact harness checks.
     if selected.first() == Some(&"lint") {
         let results = lint::run_lint(&selected[1..]);
         eprint!("{}", lint::render_human(&results));
@@ -122,7 +127,8 @@ fn main() -> ExitCode {
     // `tivo`, `stats`) or a deployment file. Canonical JSON — report
     // plus bound certificate — goes to stdout, human-readable findings
     // and bounds to stderr, and the exit code is non-zero iff any
-    // error-severity diagnostic fired — the CI certify-gate contract.
+    // error-severity diagnostic fired — the contract the golden
+    // harness checks.
     if selected.first() == Some(&"certify") {
         let results = certify::run_certify(&selected[1..]);
         eprint!("{}", certify::render_human(&results));
@@ -138,7 +144,7 @@ fn main() -> ExitCode {
     // it replays a fault schedule (the committed NIC-crash plan by
     // default, or a `.faults` file) on the fault demo deployment and
     // prints the canonical recovery JSON — byte-identical across runs of
-    // the same plan, which is exactly what the CI faults-gate diffs.
+    // the same plan, which is exactly what the golden harness diffs.
     // With `trace` it prints the recovery flight-recorder export instead.
     if selected.first() == Some(&"faults") {
         let rest = &selected[1..];
@@ -174,7 +180,7 @@ fn main() -> ExitCode {
     // prints the canonical timeline + cost-profile JSON — per-device
     // utilization per window, per-channel queue depths and size-bucketed
     // latency quantiles. Byte-identical across runs, which is exactly
-    // what the CI stats-gate diffs. `faulted` replays it under the
+    // what the golden harness diffs. `faulted` replays it under the
     // committed crash/stall plan; `trace` prints the scenario's Chrome
     // trace export instead — the one whose windowed tracks render as
     // Perfetto counter graphs.

@@ -19,6 +19,7 @@
 
 use std::fs;
 
+use hydra_obs::json_str;
 use hydra_tivo::certify::{certify_service_table, certify_set};
 use hydra_verify::{Certification, CertifyInput, Severity, VerifyInput};
 
@@ -131,9 +132,9 @@ pub fn render_json(results: &[CertifyResult]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"summary\":\"{}\",\"report\":{},\"certificate\":{}}}",
-            json_escape(&r.name),
-            json_escape(&r.certification.report.summary()),
+            "{{\"name\":{},\"summary\":{},\"report\":{},\"certificate\":{}}}",
+            json_str(&r.name),
+            json_str(&r.certification.report.summary()),
             r.certification.report.to_json(),
             r.certification.certificate.to_json()
         ));
@@ -172,21 +173,6 @@ pub fn render_human(results: &[CertifyResult]) -> String {
                 "device {} ({}): utilization <= {} permille\n",
                 d.index, d.name, d.permille
             ));
-        }
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
     out

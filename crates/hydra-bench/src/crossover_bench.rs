@@ -32,7 +32,6 @@ use hydra_core::device::DeviceId;
 use hydra_core::layout::{bus_price, LayoutGraph, LayoutNode};
 use hydra_core::providers::install_extras;
 use hydra_core::Objective;
-use hydra_obs::budget::{check_budget, parse_budget, BudgetParseError, BudgetViolation};
 use hydra_obs::{MetricsSnapshot, Recorder};
 use hydra_odf::Guid;
 use hydra_sim::time::SimTime;
@@ -333,20 +332,6 @@ pub fn bench_snapshot(report: &CrossoverReport) -> MetricsSnapshot {
         report.reprice.chatty_device,
     );
     rec.snapshot()
-}
-
-/// Checks a fresh report against a committed baseline (the contents of
-/// `budgets/bench_crossover.json`), returning every violated line.
-///
-/// # Errors
-///
-/// Fails if the baseline JSON is malformed.
-pub fn check_bench(
-    report: &CrossoverReport,
-    baseline_json: &str,
-) -> Result<Vec<BudgetViolation>, BudgetParseError> {
-    let budget = parse_budget(baseline_json)?;
-    Ok(check_budget(&bench_snapshot(report), &budget))
 }
 
 #[cfg(test)]

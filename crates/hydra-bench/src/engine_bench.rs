@@ -27,7 +27,6 @@ use std::time::Instant;
 use bytes::Bytes;
 use hydra_core::channel::{BatchSendOutcome, ChannelConfig};
 use hydra_core::device::DeviceId;
-use hydra_obs::budget::{check_budget, parse_budget, BudgetParseError, BudgetViolation};
 use hydra_obs::{MetricsSnapshot, Recorder};
 use hydra_sim::engine::{SchedEntry, SchedStats, Scheduler};
 use hydra_sim::time::{SimDuration, SimTime};
@@ -418,20 +417,6 @@ pub fn engine_snapshot(bench: &EngineBench) -> MetricsSnapshot {
         bench.wall_speedup_x100(),
     );
     rec.snapshot()
-}
-
-/// Checks fresh measurements against the committed baseline (the
-/// contents of `budgets/bench_engine.json`).
-///
-/// # Errors
-///
-/// Fails if the baseline JSON is malformed.
-pub fn check_engine_bench(
-    bench: &EngineBench,
-    baseline_json: &str,
-) -> Result<Vec<BudgetViolation>, BudgetParseError> {
-    let budget = parse_budget(baseline_json)?;
-    Ok(check_budget(&engine_snapshot(bench), &budget))
 }
 
 #[cfg(test)]

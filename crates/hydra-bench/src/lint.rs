@@ -15,6 +15,7 @@
 use std::fs;
 
 use hydra_core::device::{DeviceDescriptor, DeviceRegistry};
+use hydra_obs::json_str;
 use hydra_odf::odf::OdfDocument;
 use hydra_odf::xml;
 use hydra_verify::{Diagnostic, HvCode, Loc, Report, Severity, VerifyInput};
@@ -162,9 +163,9 @@ pub fn render_json(results: &[LintResult]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"summary\":\"{}\",\"report\":{}}}",
-            json_escape(&r.name),
-            json_escape(&r.report.summary()),
+            "{{\"name\":{},\"summary\":{},\"report\":{}}}",
+            json_str(&r.name),
+            json_str(&r.report.summary()),
             r.report.to_json()
         ));
     }
@@ -187,21 +188,6 @@ pub fn render_human(results: &[LintResult]) -> String {
     for r in results {
         out.push_str(&format!("== {} ==\n", r.name));
         out.push_str(&r.report.render_human());
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::snapshot::{MetricsSnapshot, TraceEventSample};
+use crate::snapshot::{json_str, MetricsSnapshot, TraceEventSample};
 
 /// The Perfetto process a telemetry track attaches to: labels of the
 /// form `device-N` map to that device's pid, everything else (including
@@ -46,24 +46,6 @@ fn track_name(name: &str, label: &str) -> String {
 /// its successor shares the same instant (µs) — keeps zero-width slices
 /// visible in the viewer.
 const MIN_SLICE_NANOS: u64 = 1_000;
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Nanoseconds rendered as fractional microseconds (`"12.345"`), the
 /// trace-event `ts`/`dur` unit, via pure integer arithmetic.

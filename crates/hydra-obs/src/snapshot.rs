@@ -396,7 +396,10 @@ impl MetricsSnapshot {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// Renders `s` as a quoted JSON string: quotes, backslashes and control
+/// characters escaped. The one JSON string escaper of the workspace's
+/// hand-rolled writers.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -511,6 +514,7 @@ mod tests {
     fn json_escapes_specials() {
         assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_str("\r\u{8}"), "\"\\r\\u0008\"");
     }
 
     #[test]

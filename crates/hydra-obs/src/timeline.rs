@@ -27,8 +27,8 @@
 //! Ticks are ordinary DES events, so they interleave with model events
 //! under the engine's FIFO `(time, seq)` contract; window contents
 //! iterate `BTreeMap`s. Two identical runs therefore render
-//! byte-identical timelines — `repro -- stats` and the CI stats-gate
-//! diff exactly that.
+//! byte-identical timelines — the golden-artifact harness diffs two
+//! `repro -- stats` runs for exactly that.
 
 use hydra_sim::time::{SimDuration, SimTime};
 use hydra_sim::Sim;

@@ -15,8 +15,8 @@
 //! [`run_stats_demo`] renders all of that as one canonical hand-rolled
 //! JSON report. Everything is driven by sim time and deterministic
 //! models, so two invocations — with or without a fault plan — are
-//! byte-identical; `repro -- stats`, the root `stats_gate` test and the
-//! CI stats-gate diff exactly that.
+//! byte-identical; the golden-artifact harness diffs two `repro --
+//! stats` runs, clean and faulted, for exactly that.
 
 use bytes::Bytes;
 use hydra_core::channel::{ChannelConfig, ChannelId, CostProfile, CHANNEL_QUEUE_DEPTH};

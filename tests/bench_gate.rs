@@ -1,44 +1,8 @@
-//! The sim-time performance regression gate (tier 1).
-//!
-//! `budgets/bench_channel.json` is the committed baseline for the
-//! channel data-path benchmarks, and `BENCH_channel.json` at the
-//! workspace root is the committed rendering of the report itself.
-//! Because every benchmark runs in simulated time, both are exact: a
-//! code change that slows the batched (or single) path beyond the
-//! per-scenario tolerances fails here — and in CI's `bench-gate` job —
-//! instead of drifting silently.
+//! The channel bench's scenario-specific assertion. The golden-artifact
+//! harness (`crates/hydra-bench/tests/golden.rs`) checks the report
+//! against `BENCH_channel.json` and `budgets/bench_channel.json`.
 
-use hydra::obs::{check_budget, parse_budget};
-use hydra_bench::channel_bench::{bench_snapshot, check_bench, render_json, run_channel_bench};
-
-const BASELINE: &str = include_str!("../budgets/bench_channel.json");
-const COMMITTED_REPORT: &str = include_str!("../BENCH_channel.json");
-
-#[test]
-fn bench_results_stay_within_committed_baseline() {
-    let violations = check_bench(&run_channel_bench(), BASELINE).expect("baseline parses");
-    assert!(
-        violations.is_empty(),
-        "bench regressions:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
-#[test]
-fn report_is_byte_identical_across_runs_and_matches_committed() {
-    let a = render_json(&run_channel_bench());
-    let b = render_json(&run_channel_bench());
-    assert_eq!(a, b, "sim-time benches are deterministic");
-    assert_eq!(
-        a, COMMITTED_REPORT,
-        "BENCH_channel.json is stale — regenerate with \
-         `cargo run --release -p hydra-bench --bin repro -- bench > BENCH_channel.json`"
-    );
-}
+use hydra_bench::channel_bench::run_channel_bench;
 
 #[test]
 fn batched_throughput_beats_single_at_batch_eight_and_up() {
@@ -56,34 +20,4 @@ fn batched_throughput_beats_single_at_batch_eight_and_up() {
             single.throughput_bytes_per_sec
         );
     }
-}
-
-#[test]
-fn gate_fails_when_baseline_is_perturbed_beyond_tolerance() {
-    // Perturb the baseline instead of the code: demand the batch8
-    // scenario be faster than it is, with zero tolerance. The gate must
-    // report exactly that line.
-    let mut spec = parse_budget(BASELINE).expect("committed baseline parses");
-    let line = spec
-        .counters
-        .iter_mut()
-        .find(|c| c.name == "bench.elapsed_ns" && c.label.as_deref() == Some("batch8"))
-        .expect("baseline budgets batch8 elapsed time");
-    line.expect /= 2;
-    line.tolerance = 0;
-    let snap = bench_snapshot(&run_channel_bench());
-    let violations = check_budget(&snap, &spec);
-    assert_eq!(violations.len(), 1, "exactly the perturbed line fails");
-    assert_eq!(violations[0].name, "bench.elapsed_ns");
-    assert_eq!(violations[0].label.as_deref(), Some("batch8"));
-}
-
-#[test]
-fn gate_tolerance_absorbs_small_drift() {
-    let mut spec = parse_budget(BASELINE).expect("committed baseline parses");
-    for line in &mut spec.counters {
-        line.expect += line.tolerance / 2;
-    }
-    let snap = bench_snapshot(&run_channel_bench());
-    assert!(check_budget(&snap, &spec).is_empty());
 }

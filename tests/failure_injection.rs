@@ -332,8 +332,8 @@ fn switch_overload_drops_are_bounded_and_counted() {
 // Fault-plan injection and automatic recovery (PR 5).
 
 /// Two runs of the same committed fault schedule must be byte-identical:
-/// same recovery JSON, same metrics snapshot, same trace export. This is
-/// the property the CI faults-gate diffs.
+/// same recovery JSON, same metrics snapshot, same trace export. The
+/// golden-artifact harness diffs the same property across processes.
 #[test]
 fn fault_schedule_replay_is_deterministic() {
     use hydra::tivo::faults::{fault_demo_plan, run_fault_demo};

@@ -1,46 +1,10 @@
-//! The telemetry-timeline regression gate (tier 1).
-//!
-//! `budgets/demo_stats.json` is the committed baseline for the stats
-//! scenario's counters — message traffic on both channels plus the
-//! busy-time totals every utilization window is carved from. Message
-//! counts are exact (tolerance 0); busy-time counters carry ~10%
-//! tolerance so device timing models can be re-tuned without touching
-//! this file. The rendered timeline itself is additionally byte-diffed
-//! here and by the CI stats-gate.
+//! The telemetry timeline's scenario-specific assertions: every window
+//! reports utilization and every channel a cost profile. The
+//! golden-artifact harness (`crates/hydra-bench/tests/golden.rs`) checks
+//! the rendered timeline's determinism and `budgets/demo_stats.json`.
 
 use hydra::devices::{DEVICE_BUSY_NS, LINK_BUSY_NS};
-use hydra::obs::{check_budget, parse_budget};
-use hydra::tivo::stats::{run_stats_demo, stats_demo_plan};
-
-const BASELINE: &str = include_str!("../budgets/demo_stats.json");
-
-#[test]
-fn stats_scenario_stays_within_committed_budget() {
-    let spec = parse_budget(BASELINE).expect("committed baseline parses");
-    assert_eq!(spec.name, "demo-stats");
-    let (snap, _) = run_stats_demo(None);
-    let violations = check_budget(&snap, &spec);
-    assert!(
-        violations.is_empty(),
-        "budget violations:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {v}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
-#[test]
-fn stats_report_is_byte_identical_across_runs() {
-    let (_, a) = run_stats_demo(None);
-    let (_, b) = run_stats_demo(None);
-    assert_eq!(a, b, "clean timeline must be byte-stable");
-    let plan = stats_demo_plan();
-    let (_, fa) = run_stats_demo(Some(&plan));
-    let (_, fb) = run_stats_demo(Some(&plan));
-    assert_eq!(fa, fb, "faulted timeline must be byte-stable");
-}
+use hydra::tivo::stats::run_stats_demo;
 
 #[test]
 fn every_window_reports_utilization_and_every_channel_a_profile() {
