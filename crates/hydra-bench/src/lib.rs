@@ -40,14 +40,17 @@ pub const BENCHES: &[(&str, &str)] = &[
 /// dispatches through here, so the manifest and the CLI cannot drift.
 #[must_use]
 pub fn run_bench(name: &str) -> Option<String> {
+    bench_renderer(name).map(|render| render())
+}
+
+/// The function that runs the named bench and renders its report.
+fn bench_renderer(name: &str) -> Option<fn() -> String> {
     match name {
-        "channel" => Some(channel_bench::render_json(
-            &channel_bench::run_channel_bench(),
-        )),
-        "engine" => Some(engine_bench::render_json(&engine_bench::run_engine_bench())),
-        "crossover" => Some(crossover_bench::render_json(
-            &crossover_bench::run_crossover_bench(),
-        )),
+        "channel" => Some(|| channel_bench::render_json(&channel_bench::run_channel_bench())),
+        "engine" => Some(|| engine_bench::render_json(&engine_bench::run_engine_bench())),
+        "crossover" => {
+            Some(|| crossover_bench::render_json(&crossover_bench::run_crossover_bench()))
+        }
         _ => None,
     }
 }
@@ -69,5 +72,25 @@ mod tests {
     #[test]
     fn bench_suite_is_short() {
         assert_eq!(bench_suite().duration.as_millis(), 6_000);
+    }
+
+    #[test]
+    // The BENCH_*.json convention is deliberately case-sensitive: the
+    // golden harness's orphan check matches it the same way.
+    #[allow(clippy::case_sensitive_file_extension_comparisons)]
+    fn every_manifest_row_dispatches_and_unknown_names_do_not() {
+        for (name, report_file) in BENCHES {
+            assert!(
+                report_file.starts_with("BENCH_") && report_file.ends_with(".json"),
+                "{report_file}: committed reports follow the BENCH_*.json convention"
+            );
+            // Running the bench here would be slow; the golden harness
+            // runs every `repro bench <name>` row.
+            assert!(
+                bench_renderer(name).is_some(),
+                "{name}: run_bench() cannot dispatch a manifest row"
+            );
+        }
+        assert_eq!(run_bench("no-such-bench"), None);
     }
 }

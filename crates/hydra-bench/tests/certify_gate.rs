@@ -11,31 +11,34 @@
 //!    committed fault plan — stays bracketed by the (overlay-widened)
 //!    certificate: per-ring p99/depth and per-device busy permille.
 //!
-//! The golden-artifact harness (`crates/hydra-bench/tests/golden.rs`)
-//! checks the canonical JSON report's determinism and that each
+//! The `certify` rows of the artifact table (`tests/artifacts/mod.rs`)
+//! check the canonical JSON report's determinism and that each
 //! `fixtures/certify/*.xml` failure case fails with its designated code
 //! (HV040 queue overflow, HV042 utilization overrun, HV050 ring-write
 //! race).
 
-use hydra::devices::DEVICE_BUSY_NS;
-use hydra::obs::sustained_busy_permille;
-use hydra::tivo::certify::{
+mod artifacts;
+
+use artifacts::{assert_row, assert_rows};
+use hydra_bench::certify::{any_errors, run_certify};
+use hydra_devices::DEVICE_BUSY_NS;
+use hydra_obs::sustained_busy_permille;
+use hydra_tivo::certify::{
     certify_service_table, certify_set, demo_certify_odfs, observe_declared, stats_observation,
     tivo_certify_odfs, Observation,
 };
-use hydra::tivo::stats::stats_demo_plan;
-use hydra::verify::{Certification, CertifyInput, FaultOverlay, VerifyInput};
-use hydra_bench::certify::{any_errors, run_certify};
+use hydra_tivo::stats::stats_demo_plan;
+use hydra_verify::{Certification, CertifyInput, FaultOverlay, VerifyInput};
 
 fn certify(name: &str, overlay: Option<&FaultOverlay>) -> Certification {
     let (odfs, _) = certify_set(name).expect("built-in set");
-    let mut reg = hydra::core::device::DeviceRegistry::new();
-    reg.install(hydra::core::device::DeviceDescriptor::programmable_nic());
-    reg.install(hydra::core::device::DeviceDescriptor::smart_disk());
-    reg.install(hydra::core::device::DeviceDescriptor::gpu());
+    let mut reg = hydra_core::device::DeviceRegistry::new();
+    reg.install(hydra_core::device::DeviceDescriptor::programmable_nic());
+    reg.install(hydra_core::device::DeviceDescriptor::smart_disk());
+    reg.install(hydra_core::device::DeviceDescriptor::gpu());
     let table = reg.verify_table();
     let services = certify_service_table();
-    hydra::verify::certify(&CertifyInput {
+    hydra_verify::certify(&CertifyInput {
         verify: VerifyInput {
             odfs: &odfs,
             devices: &table,
@@ -116,6 +119,16 @@ fn builtin_sets_certify_error_free() {
         );
     }
     assert!(!any_errors(&results));
+}
+
+#[test]
+fn certify_json_is_byte_stable() {
+    assert_row(&["certify"]);
+}
+
+#[test]
+fn committed_fixtures_fire_their_designated_codes() {
+    assert_rows(|r| r.args.len() == 2 && r.args[1].starts_with("fixtures/certify/"));
 }
 
 #[test]

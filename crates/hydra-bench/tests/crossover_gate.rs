@@ -1,14 +1,31 @@
-//! The provider-crossover sweep's scenario-specific assertions: where
-//! the crossover points sit in the committed `BENCH_crossover.json`,
+//! The provider-crossover sweep's gate: its row of the artifact table
+//! (`tests/artifacts/mod.rs`) against `BENCH_crossover.json`, the budget
+//! checks of `budgets/bench_crossover.json`, and the scenario-specific
+//! assertions: where the crossover points sit in the committed report,
 //! and that the adaptive channel never costs more than the worst static
-//! provider. The golden-artifact harness
-//! (`crates/hydra-bench/tests/golden.rs`) checks the report against the
-//! committed file and `budgets/bench_crossover.json`.
+//! provider.
 
+mod artifacts;
+
+use artifacts::{
+    assert_budget, assert_row, budget_passes, each_line_trips_alone_past_its_tolerance,
+    half_tolerance_drift_passes,
+};
 use hydra_bench::crossover_bench::{run_crossover_bench, SIZES};
 use hydra_bench::report::{read_u64, schema_version, SCHEMA_VERSION};
 
-const COMMITTED_REPORT: &str = include_str!("../BENCH_crossover.json");
+const BUDGET: &str = "budgets/bench_crossover.json";
+const COMMITTED_REPORT: &str = include_str!("../../../BENCH_crossover.json");
+
+#[test]
+fn crossover_results_stay_within_committed_baseline() {
+    assert_budget(BUDGET, budget_passes);
+}
+
+#[test]
+fn report_is_byte_identical_across_runs_and_matches_committed() {
+    assert_row(&["bench", "crossover"]);
+}
 
 #[test]
 fn committed_report_pins_the_crossover_structure() {
@@ -58,4 +75,14 @@ fn adaptive_channel_never_costs_more_than_the_worst_static_provider() {
             adaptive.elapsed_ns
         );
     }
+}
+
+#[test]
+fn gate_fails_when_baseline_is_perturbed_beyond_tolerance() {
+    assert_budget(BUDGET, each_line_trips_alone_past_its_tolerance);
+}
+
+#[test]
+fn gate_tolerance_absorbs_small_drift() {
+    assert_budget(BUDGET, half_tolerance_drift_passes);
 }

@@ -1,20 +1,6 @@
-//! The golden-artifact harness: one table row per artifact `repro`
-//! emits, and one loop that checks every row the same way.
-//!
-//! For each row the loop spawns the `repro` binary twice from the
-//! workspace root and checks that:
-//!
-//! * the exit status is the one the row expects;
-//! * both runs print the same bytes (after dropping `wall_` lines for a
-//!   [`Golden::SimFields`] row);
-//! * the output equals its committed file or the output of an earlier
-//!   row;
-//! * it holds every required string and none of the forbidden ones;
-//! * the row's committed budget is named after its file and passes
-//!   against a fresh snapshot; each line still passes with `expect`
-//!   moved to its tolerance and trips alone once moved past it; a
-//!   half-tolerance shift of every line still passes; and an unknown
-//!   counter reads as 0 and fails.
+//! The golden-artifact harness: every row of the artifact table
+//! (`tests/artifacts/mod.rs`) and every committed budget, checked the
+//! same way in one loop.
 //!
 //! It also fails on a committed `BENCH_*.json` or `budgets/*.json` that
 //! no row names, and on a [`hydra_bench::BENCHES`] entry with no row.
@@ -27,450 +13,37 @@
 //! cargo test --release -p hydra-bench --test golden
 //! ```
 
-use std::collections::BTreeMap;
+mod artifacts;
+
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::path::Path;
 
-use hydra_bench::report::sim_fields;
-use hydra_bench::{channel_bench, crossover_bench, engine_bench, BENCHES};
-use hydra_obs::budget::{check_budget, parse_budget, BudgetSpec, CounterBudget};
-use hydra_obs::MetricsSnapshot;
-use hydra_tivo::demo::demo_deployment;
-use hydra_tivo::faults::{fault_demo_plan, run_fault_demo};
-use hydra_tivo::stats::run_stats_demo;
-
-/// What a row's output must equal.
-enum Golden {
-    /// Nothing beyond the double-run comparison.
-    Fresh,
-    /// The committed file, byte for byte.
-    File(&'static str),
-    /// The committed file, both sides without their `wall_` lines.
-    SimFields(&'static str),
-    /// The output of the earlier row with these `repro` arguments.
-    SameAs(&'static [&'static str]),
-}
-
-/// A committed budget file and the function that builds the snapshot it
-/// is checked against.
-#[derive(Clone, Copy)]
-struct Budget(&'static str, fn() -> MetricsSnapshot);
-
-/// One artifact `repro` emits.
-struct Row {
-    /// The `repro` arguments.
-    args: &'static [&'static str],
-    /// Whether `repro` must exit with success.
-    success: bool,
-    golden: Golden,
-    budget: Option<Budget>,
-    /// Strings the output must contain.
-    contains: &'static [&'static str],
-    /// Strings the output must not contain.
-    lacks: &'static [&'static str],
-}
-
-/// The defaults rows override.
-const ROW: Row = Row {
-    args: &[],
-    success: true,
-    golden: Golden::Fresh,
-    budget: None,
-    contains: &[],
-    lacks: &[],
+use artifacts::{
+    benches_without_rows, every_budget_check, orphan_budgets, orphan_reports, Budget, ROWS,
 };
-
-const FAULT_SCHEDULE: &str = "fixtures/faults/nic_crash.faults";
-
-/// The window after the stats scenario's 4 ms NIC crash still carries
-/// NIC busy time in the clean run and none in the faulted run.
-const NIC_BUSY_AFTER_CRASH: &str =
-    "\"end_ns\": 5000000, \"utilization\": [{\"name\": \"device.busy_ns\", \"label\": \"device-1\"";
-const NIC_TRACK_AFTER_CRASH: &str =
-    "\"name\":\"device.busy_ns{device-1}\",\"ph\":\"C\",\"ts\":5000.000";
-
-const ROWS: &[Row] = &[
-    Row {
-        args: &["bench", "channel"],
-        golden: Golden::File("BENCH_channel.json"),
-        budget: Some(Budget("budgets/bench_channel.json", || {
-            channel_bench::bench_snapshot(&channel_bench::run_channel_bench())
-        })),
-        ..ROW
-    },
-    Row {
-        args: &["bench", "engine"],
-        golden: Golden::SimFields("BENCH_engine.json"),
-        budget: Some(Budget("budgets/bench_engine.json", || {
-            engine_bench::engine_snapshot(&engine_bench::run_engine_bench())
-        })),
-        contains: &["\"wall_elapsed_ns\""],
-        ..ROW
-    },
-    Row {
-        args: &["bench", "crossover"],
-        golden: Golden::File("BENCH_crossover.json"),
-        budget: Some(Budget("budgets/bench_crossover.json", || {
-            crossover_bench::bench_snapshot(&crossover_bench::run_crossover_bench())
-        })),
-        contains: &[
-            "\"pio_to_doorbell_bytes\": 256",
-            "\"doorbell_to_dma_bytes\": 65536",
-            "\"bulk_device\": 1",
-        ],
-        lacks: &["\"wall_"],
-        ..ROW
-    },
-    Row {
-        args: &["stats"],
-        budget: Some(Budget("budgets/demo_stats.json", || run_stats_demo(None).0)),
-        contains: &[
-            "\"schema\": 1",
-            "\"window_ns\": 1000000",
-            "\"label\": \"device-1\"",
-            "\"label\": \"host\"",
-            "\"p50_ns\"",
-            "\"p99_ns\"",
-            "\"bucket_bytes\": 16384",
-            NIC_BUSY_AFTER_CRASH,
-        ],
-        ..ROW
-    },
-    Row {
-        args: &["stats", "faulted"],
-        lacks: &[NIC_BUSY_AFTER_CRASH],
-        ..ROW
-    },
-    Row {
-        args: &["stats", "trace"],
-        contains: &[
-            "\"ph\":\"C\"",
-            "device.busy_ns",
-            "channel.queue_depth",
-            NIC_TRACK_AFTER_CRASH,
-        ],
-        ..ROW
-    },
-    Row {
-        args: &["stats", "faulted", "trace"],
-        contains: &["\"ph\":\"C\""],
-        lacks: &[NIC_TRACK_AFTER_CRASH],
-        ..ROW
-    },
-    Row {
-        args: &["lint"],
-        contains: &["\"errors\":0"],
-        ..ROW
-    },
-    Row {
-        args: &["lint", "fixtures/gang_cycle.xml"],
-        success: false,
-        contains: &["\"code\":\"HV010\",\"severity\":\"error\""],
-        ..ROW
-    },
-    Row {
-        args: &["lint", "fixtures/disjoint_pull.xml"],
-        success: false,
-        contains: &["\"code\":\"HV012\",\"severity\":\"error\""],
-        ..ROW
-    },
-    Row {
-        args: &["lint", "fixtures/overcommit.xml"],
-        success: false,
-        contains: &["\"code\":\"HV020\",\"severity\":\"error\""],
-        ..ROW
-    },
-    Row {
-        args: &["certify"],
-        contains: &[
-            "\"certificate\"",
-            "\"queue_bound\"",
-            "\"latency_bound_ns\"",
-            "\"permille\"",
-            "\"chains\"",
-        ],
-        ..ROW
-    },
-    Row {
-        args: &["certify", "fixtures/certify/queue_overflow.xml"],
-        success: false,
-        contains: &["\"code\":\"HV040\",\"severity\":\"error\""],
-        ..ROW
-    },
-    Row {
-        args: &["certify", "fixtures/certify/utilization_overrun.xml"],
-        success: false,
-        contains: &["\"code\":\"HV042\",\"severity\":\"error\""],
-        ..ROW
-    },
-    Row {
-        args: &["certify", "fixtures/certify/ring_write_race.xml"],
-        success: false,
-        contains: &["\"code\":\"HV050\",\"severity\":\"error\""],
-        ..ROW
-    },
-    Row {
-        args: &["faults", FAULT_SCHEDULE],
-        contains: &["\"audit\": []", "\"constraints_ok\": true"],
-        lacks: &["\"device\": \"lost\""],
-        ..ROW
-    },
-    Row {
-        args: &["faults"],
-        golden: Golden::SameAs(&["faults", FAULT_SCHEDULE]),
-        budget: Some(Budget("budgets/demo_recovery.json", || {
-            run_fault_demo(&fault_demo_plan()).0.metrics_snapshot()
-        })),
-        ..ROW
-    },
-    Row {
-        args: &["faults", FAULT_SCHEDULE, "trace"],
-        contains: &["\"recover.migrate\""],
-        ..ROW
-    },
-    Row {
-        args: &["trace"],
-        budget: Some(Budget("budgets/demo_deployment.json", || {
-            demo_deployment().metrics_snapshot()
-        })),
-        contains: &[
-            "\"traceEvents\"",
-            "\"name\":\"channel.send\"",
-            "\"name\":\"provider.hop\"",
-            "\"name\":\"channel.recv\"",
-        ],
-        ..ROW
-    },
-];
-
-impl Row {
-    fn committed(&self) -> Option<&'static str> {
-        match self.golden {
-            Golden::File(path) | Golden::SimFields(path) => Some(path),
-            Golden::Fresh | Golden::SameAs(_) => None,
-        }
-    }
-
-    /// The part of the output two runs must reproduce byte for byte.
-    fn stable<'a>(&self, out: &'a str) -> std::borrow::Cow<'a, str> {
-        match self.golden {
-            Golden::SimFields(_) => sim_fields(out).into(),
-            _ => out.into(),
-        }
-    }
-}
-
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-fn read(path: &str) -> String {
-    fs::read_to_string(workspace_root().join(path))
-        .unwrap_or_else(|e| panic!("{path}: cannot read: {e}"))
-}
-
-/// Runs `repro` from the workspace root: (exit success, stdout).
-fn repro(args: &[&str]) -> (bool, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .current_dir(workspace_root())
-        .output()
-        .expect("repro binary runs");
-    let stdout = String::from_utf8(out.stdout).expect("repro prints UTF-8");
-    (out.status.success(), stdout)
-}
-
-/// The first line where `fresh` departs from `expected`.
-fn first_difference(expected: &str, fresh: &str) -> String {
-    let mut fresh_lines = fresh.lines();
-    for (n, want) in expected.lines().enumerate() {
-        match fresh_lines.next() {
-            Some(got) if got == want => {}
-            got => return format!("line {}: expected {want:?}, got {got:?}", n + 1),
-        }
-    }
-    match fresh_lines.next() {
-        Some(extra) => format!("extra line {extra:?}"),
-        None => "trailing bytes differ".to_owned(),
-    }
-}
-
-/// The value `line` reads from `snap`.
-fn actual(snap: &MetricsSnapshot, line: &CounterBudget) -> u64 {
-    match &line.label {
-        Some(label) => snap.counter(&line.name, label).unwrap_or(0),
-        None => snap.counter_total(&line.name),
-    }
-}
-
-/// `spec` with line `i` moved to `distance` from the snapshot's `value`,
-/// on the side its `expect` already sits (the other side if that one
-/// would overflow).
-fn moved(spec: &BudgetSpec, i: usize, value: u64, distance: u64) -> BudgetSpec {
-    let mut spec = spec.clone();
-    let line = &mut spec.counters[i];
-    let (below, above) = (value.checked_sub(distance), value.checked_add(distance));
-    line.expect = if line.expect < value {
-        below.or(above)
-    } else {
-        above.or(below)
-    }
-    .expect("u64 has room on one side");
-    spec
-}
-
-/// The three budget checks every committed budget gets.
-fn check_budget_file(path: &str, snap: &MetricsSnapshot, failures: &mut Vec<String>) {
-    let spec = parse_budget(&read(path)).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let stem = path
-        .strip_prefix("budgets/")
-        .and_then(|p| p.strip_suffix(".json"));
-    if stem.map(|stem| stem.replace('_', "-")) != Some(spec.name.clone()) {
-        failures.push(format!("{path}: budget is named {:?}", spec.name));
-    }
-    let violations = check_budget(snap, &spec);
-    if !violations.is_empty() {
-        for v in violations {
-            failures.push(format!("{path}: {v}"));
-        }
-        return;
-    }
-    for (i, line) in spec.counters.iter().enumerate() {
-        let value = actual(snap, line);
-        let at_edge = check_budget(snap, &moved(&spec, i, value, line.tolerance));
-        let past = check_budget(snap, &moved(&spec, i, value, line.tolerance + 1));
-        let trips_only_this_line = matches!(
-            past.as_slice(),
-            [v] if v.name == line.name && v.label == line.label
-        );
-        if !at_edge.is_empty() || !trips_only_this_line {
-            failures.push(format!(
-                "{path}: {}{{{}}} must pass at its tolerance and trip alone past it, \
-                 got {at_edge:?} and {past:?}",
-                line.name,
-                line.label.as_deref().unwrap_or("*"),
-            ));
-        }
-    }
-    let mut shifted = spec.clone();
-    for line in &mut shifted.counters {
-        line.expect += line.tolerance / 2;
-    }
-    for v in check_budget(snap, &shifted) {
-        failures.push(format!("{path}: half-tolerance drift must pass: {v}"));
-    }
-    let mut unknown = spec;
-    unknown.counters.push(CounterBudget {
-        name: "no.such.counter".into(),
-        label: None,
-        expect: 7,
-        tolerance: 0,
-    });
-    let violations = check_budget(snap, &unknown);
-    if !matches!(violations.as_slice(), [v] if v.name == "no.such.counter" && v.actual == 0) {
-        failures.push(format!(
-            "{path}: an unknown counter must read as 0 and fail, got {violations:?}"
-        ));
-    }
-}
-
-/// Committed files matching `prefix*.json` in `dir` that no row names.
-#[allow(clippy::case_sensitive_file_extension_comparisons)]
-fn orphans(dir: &str, prefix: &str, named: &[&str]) -> Vec<String> {
-    let mut found: Vec<String> = fs::read_dir(workspace_root().join(dir))
-        .unwrap_or_else(|e| panic!("{dir}: cannot list: {e}"))
-        .filter_map(Result::ok)
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| n.starts_with(prefix) && n.ends_with(".json"))
-        .map(|n| if dir == "." { n } else { format!("{dir}/{n}") })
-        .filter(|path| !named.contains(&path.as_str()))
-        .collect();
-    found.sort();
-    found
-}
 
 #[test]
 fn every_repro_artifact_matches_its_row() {
     let out_dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden");
     fs::create_dir_all(&out_dir).expect("golden output dir");
     let mut failures = Vec::new();
-    let mut outputs: BTreeMap<&[&str], String> = BTreeMap::new();
     for row in ROWS {
-        let name = row.args.join(" ");
-        let (ok, fresh) = repro(row.args);
-        let slug: String = name
+        let (fresh, row_failures) = row.check_output();
+        let slug: String = row
+            .args
+            .join(" ")
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
             .collect();
         fs::write(out_dir.join(format!("{slug}.json")), &fresh).expect("fresh output written");
-        if ok != row.success {
-            failures.push(format!(
-                "repro {name}: exit success {ok}, want {}",
-                row.success
-            ));
-        }
-        if !fresh.starts_with('{') {
-            failures.push(format!("repro {name}: stdout is not pure JSON"));
-        }
-        let (_, again) = repro(row.args);
-        if row.stable(&fresh) != row.stable(&again) {
-            failures.push(format!(
-                "repro {name}: two runs differ: {}",
-                first_difference(&row.stable(&fresh), &row.stable(&again))
-            ));
-        }
-        let expected = match row.golden {
-            Golden::Fresh => None,
-            Golden::File(path) | Golden::SimFields(path) => Some((path.to_owned(), read(path))),
-            Golden::SameAs(args) => Some((
-                format!("repro {}", args.join(" ")),
-                outputs
-                    .get(args)
-                    .cloned()
-                    .expect("SameAs names an earlier row"),
-            )),
-        };
-        if let Some((what, expected)) = expected {
-            if row.stable(&expected) != row.stable(&fresh) {
-                failures.push(format!(
-                    "repro {name}: differs from {what}: {}",
-                    first_difference(&row.stable(&expected), &row.stable(&fresh))
-                ));
-            }
-        }
-        for s in row.contains {
-            if !fresh.contains(s) {
-                failures.push(format!("repro {name}: missing {s}"));
-            }
-        }
-        for s in row.lacks {
-            if fresh.contains(s) {
-                failures.push(format!("repro {name}: must not contain {s}"));
-            }
-        }
+        failures.extend(row_failures);
         if let Some(Budget(path, snapshot)) = row.budget {
-            check_budget_file(path, &snapshot(), &mut failures);
-        }
-        outputs.insert(row.args, fresh);
-    }
-
-    for (name, file) in BENCHES {
-        if !ROWS
-            .iter()
-            .any(|r| r.args == ["bench", name] && r.committed() == Some(file))
-        {
-            failures.push(format!("BENCHES row {name} ({file}) has no golden row"));
+            failures.extend(every_budget_check(path, &snapshot()));
         }
     }
-    let reports: Vec<&str> = ROWS.iter().filter_map(Row::committed).collect();
-    let budgets: Vec<&str> = ROWS.iter().filter_map(|r| r.budget.map(|b| b.0)).collect();
-    for orphan in orphans(".", "BENCH_", &reports)
-        .into_iter()
-        .chain(orphans("budgets", "", &budgets))
-    {
-        failures.push(format!("{orphan}: committed but no golden row names it"));
-    }
+    failures.extend(benches_without_rows());
+    failures.extend(orphan_reports());
+    failures.extend(orphan_budgets());
 
     assert!(
         failures.is_empty(),

@@ -5,15 +5,19 @@
 //! fault-demo scenario: on the demo's recovery graph, the repair search
 //! explores strictly fewer branch-and-bound nodes than a from-scratch
 //! exact solve of the same post-failure problem, while landing on an
-//! objective-equal layout. The golden-artifact harness
-//! (`crates/hydra-bench/tests/golden.rs`) checks the demo's recovery
-//! counters against `budgets/demo_recovery.json` (tolerance 0), so a
-//! change that silently degrades repair into a full re-solve fails
-//! there.
+//! objective-equal layout. The demo's recovery counters are also held
+//! to `budgets/demo_recovery.json` (tolerance 0), so a change that
+//! silently degrades repair into a full re-solve fails here, with the
+//! budget checks of the artifact table (`tests/artifacts/mod.rs`).
 
-use hydra::core::device::{DeviceDescriptor, DeviceId, DeviceRegistry};
-use hydra::core::layout::{GraphDelta, LayoutGraph, Objective};
-use hydra::tivo::faults::fault_demo_odfs;
+mod artifacts;
+
+use artifacts::{assert_budget, budget_passes, each_line_trips_alone_past_its_tolerance};
+use hydra_core::device::{DeviceDescriptor, DeviceId, DeviceRegistry};
+use hydra_core::layout::{GraphDelta, LayoutGraph, Objective};
+use hydra_tivo::faults::fault_demo_odfs;
+
+const BUDGET: &str = "budgets/demo_recovery.json";
 
 fn demo_registry() -> DeviceRegistry {
     let mut reg = DeviceRegistry::new();
@@ -58,4 +62,17 @@ fn recovery_repair_searches_strictly_less_than_scratch() {
         repair_stats.repaired_nodes, 3,
         "the gang/pull pipeline is the dirty component; the archiver stays frozen"
     );
+}
+
+/// The demo's recovery counters stay on the committed baseline.
+#[test]
+fn recovery_counters_stay_within_committed_budget() {
+    assert_budget(BUDGET, budget_passes);
+}
+
+/// The gate actually bites: perturbing any one baseline entry past its
+/// tolerance produces exactly that one violation.
+#[test]
+fn perturbed_baseline_trips_exactly_one_violation() {
+    assert_budget(BUDGET, each_line_trips_alone_past_its_tolerance);
 }

@@ -1,8 +1,13 @@
 //! CLI contract of the `repro` binary: selector listing, unknown-selector
-//! failure, and `bench` meaning `bench channel`. What each artifact must
-//! print is checked by the golden-artifact harness (`tests/golden.rs`).
+//! failure, `bench` meaning `bench channel`, and the pure, deterministic
+//! JSON of the `bench` and `stats` selectors, checked through their rows
+//! of the artifact table (`tests/artifacts/mod.rs`).
+
+mod artifacts;
 
 use std::process::{Command, Output};
+
+use artifacts::{assert_clean, assert_row, assert_rows, Golden, Row, ROW};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -37,6 +42,16 @@ fn unknown_selector_exits_nonzero_with_usage_on_stderr() {
 }
 
 #[test]
+fn bench_alone_emits_pure_deterministic_json() {
+    let bare = Row {
+        args: &["bench"],
+        golden: Golden::File("BENCH_channel.json"),
+        ..ROW
+    };
+    assert_clean(&bare.check_output().1);
+}
+
+#[test]
 fn bench_channel_subselector_matches_bare_bench() {
     let bare = repro(&["bench"]);
     let explicit = repro(&["bench", "channel"]);
@@ -45,6 +60,28 @@ fn bench_channel_subselector_matches_bare_bench() {
         bare.stdout, explicit.stdout,
         "`bench` and `bench channel` are the same report"
     );
+}
+
+#[test]
+fn bench_engine_emits_json_with_stable_sim_fields() {
+    assert_row(&["bench", "engine"]);
+}
+
+#[test]
+fn stats_emits_pure_deterministic_timeline_json() {
+    assert_row(&["stats"]);
+}
+
+#[test]
+fn stats_faulted_is_deterministic_and_differs_from_clean() {
+    // The clean row requires the post-crash NIC window the faulted row
+    // must lack.
+    assert_rows(|r| r.args == ["stats"] || r.args == ["stats", "faulted"]);
+}
+
+#[test]
+fn stats_trace_renders_perfetto_counter_tracks() {
+    assert_rows(|r| r.args.first() == Some(&"stats") && r.args.last() == Some(&"trace"));
 }
 
 #[test]

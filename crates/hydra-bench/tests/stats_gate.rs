@@ -1,10 +1,23 @@
-//! The telemetry timeline's scenario-specific assertions: every window
-//! reports utilization and every channel a cost profile. The
-//! golden-artifact harness (`crates/hydra-bench/tests/golden.rs`) checks
-//! the rendered timeline's determinism and `budgets/demo_stats.json`.
+//! The telemetry timeline's gate: its clean and faulted rows of the
+//! artifact table (`tests/artifacts/mod.rs`), `budgets/demo_stats.json`,
+//! and the scenario-specific assertions: every window reports
+//! utilization and every channel a cost profile.
 
-use hydra::devices::{DEVICE_BUSY_NS, LINK_BUSY_NS};
-use hydra::tivo::stats::run_stats_demo;
+mod artifacts;
+
+use artifacts::{assert_budget, assert_rows, budget_passes};
+use hydra_devices::{DEVICE_BUSY_NS, LINK_BUSY_NS};
+use hydra_tivo::stats::run_stats_demo;
+
+#[test]
+fn stats_scenario_stays_within_committed_budget() {
+    assert_budget("budgets/demo_stats.json", budget_passes);
+}
+
+#[test]
+fn stats_report_is_byte_identical_across_runs() {
+    assert_rows(|r| r.args == ["stats"] || r.args == ["stats", "faulted"]);
+}
 
 #[test]
 fn every_window_reports_utilization_and_every_channel_a_profile() {

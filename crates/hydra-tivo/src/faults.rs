@@ -294,4 +294,17 @@ mod tests {
         assert_eq!(snap.counter_total("recover.migrations"), 3);
         assert_eq!(snap.counter_total("fault.device_failed"), 1);
     }
+
+    #[test]
+    fn fault_demo_is_byte_identical_across_runs() {
+        let plan = fault_demo_plan();
+        let (rt_a, json_a) = run_fault_demo(&plan);
+        let (rt_b, json_b) = run_fault_demo(&plan);
+        assert_eq!(json_a, json_b);
+        assert_eq!(
+            rt_a.metrics_snapshot().to_json(),
+            rt_b.metrics_snapshot().to_json()
+        );
+        assert_eq!(rt_a.trace_export(), rt_b.trace_export());
+    }
 }
