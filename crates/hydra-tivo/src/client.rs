@@ -148,8 +148,9 @@ mod calib {
     pub const DECODE_DISPATCH: Cycles = Cycles::new(40_000);
 }
 
-/// The pre-encoded looping stream the server sends.
-#[derive(Debug, Clone)]
+/// The pre-encoded looping stream the server sends. The idle client
+/// never reads it and keeps the empty default.
+#[derive(Debug, Clone, Default)]
 struct StreamSource {
     chunks: Vec<Chunk>,
     frames: Vec<EncodedFrame>,
@@ -197,6 +198,15 @@ impl StreamSource {
     }
 }
 
+/// Blocks in the offloaded client's recording ring. The disk charges a
+/// write by its size, never by its offset, so wrapping changes no
+/// statistic; `bytes_stored` still counts every block.
+const RECORDING_BLOCKS: u64 = 256;
+
+/// The payload of every recorded block, shared rather than allocated
+/// per write.
+static ZERO_BLOCK: [u8; hydra_devices::disk::BLOCK_BYTES] = [0; hydra_devices::disk::BLOCK_BYTES];
+
 struct World {
     host: HostModel,
     nic: NicModel,
@@ -213,9 +223,11 @@ struct World {
     frame_ref: Region,
     frame_cur: Region,
     meta_buf: Region,
-    // Recording accumulation into 4 kB blocks.
+    // Recording accumulation into 4 kB blocks, written round a ring of
+    // `RECORDING_BLOCKS` (a time-shift buffer nothing reads back).
     pending_block_bytes: usize,
     next_block: u64,
+    zero_block: bytes::Bytes,
     // Stats.
     packets: u64,
     frames_decoded: u64,
@@ -236,7 +248,11 @@ impl World {
         let jitter_rng = hydra_sim::rng::DetRng::new(cfg.seed).split(0xA221);
         let mut host = HostModel::paper_host(cfg.seed ^ 0xC11E);
         host.bus = hydra_hw::bus::Bus::new(cfg.bus);
-        let source = StreamSource::new(&cfg);
+        let source = if cfg.kind == ClientKind::Idle {
+            StreamSource::default()
+        } else {
+            StreamSource::new(&cfg)
+        };
         let rx_bufs = (0..32)
             .map(|i| host.space.alloc(&format!("rx{i}"), cfg.packet_bytes))
             .collect();
@@ -266,6 +282,7 @@ impl World {
             meta_buf,
             pending_block_bytes: 0,
             next_block: 0,
+            zero_block: bytes::Bytes::from_static(&ZERO_BLOCK),
             packets: 0,
             frames_decoded: 0,
             bytes_stored: 0,
@@ -301,12 +318,11 @@ impl World {
         self.pending_block_bytes += len;
         while self.pending_block_bytes >= hydra_devices::disk::BLOCK_BYTES {
             self.pending_block_bytes -= hydra_devices::disk::BLOCK_BYTES;
-            let data = bytes::Bytes::from(vec![0u8; hydra_devices::disk::BLOCK_BYTES]);
             let idx = self.next_block;
-            self.next_block += 1;
+            self.next_block = (self.next_block + 1) % RECORDING_BLOCKS;
             if self
                 .disk
-                .write_block(now, &mut self.disk_nas, idx, data)
+                .write_block(now, &mut self.disk_nas, idx, self.zero_block.clone())
                 .is_ok()
             {
                 self.bytes_stored += hydra_devices::disk::BLOCK_BYTES as u64;
@@ -566,6 +582,15 @@ mod tests {
         assert!(w.disk.stats().blocks_written > 0);
         assert!(w.nic.stats().peer_bytes > 0);
         assert_eq!(w.nic.stats().host_dma_bytes, 0, "no host DMA");
+        // The recording wrapped round its ring, yet every block counts.
+        let blocks = w.disk.stats().blocks_written;
+        let block = hydra_devices::disk::BLOCK_BYTES as u64;
+        assert!(blocks > RECORDING_BLOCKS, "{blocks} blocks");
+        assert_eq!(w.bytes_stored, blocks * block);
+        assert_eq!(
+            w.disk.backing_size(&w.disk_nas),
+            Some(RECORDING_BLOCKS * block)
+        );
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! run against the paper's numbers.
 
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use hydra_core::layout::{LayoutGraph, LayoutNode, NodeIdx, Objective};
 use hydra_odf::odf::{ConstraintKind, Guid};
@@ -44,6 +47,59 @@ impl SuiteConfig {
             seed: 42,
         }
     }
+
+    fn server(&self, kind: ServerKind) -> ServerConfig {
+        ServerConfig {
+            duration: self.duration,
+            ..ServerConfig::paper(kind, self.seed)
+        }
+    }
+
+    fn client(&self, kind: ClientKind) -> ClientConfig {
+        ClientConfig {
+            duration: self.duration,
+            ..ClientConfig::paper(kind, self.seed)
+        }
+    }
+}
+
+/// Runs `run` on every config and returns the results in config order.
+///
+/// Each run builds and owns its own world and is deterministic on its
+/// own, so the runs go to `min(available_parallelism, configs)` scoped
+/// workers that take the next config off a shared index. One worker
+/// runs them one after another.
+fn run_variants<C: Sync, R: Send>(configs: &[C], run: impl Fn(&C) -> R + Sync) -> Vec<R> {
+    let workers = thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(configs.len());
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<Option<R>> = configs.iter().map(|_| None).collect();
+    thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the index only hands out work; the
+                        // results come back through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(c) = configs.get(i) else { break done };
+                        done.push((i, run(c)));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, r) in h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)) {
+                results[i] = Some(r);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("every config ran"))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -104,19 +160,15 @@ pub struct JitterResults {
 
 /// Runs the jitter experiment for the three server variants.
 pub fn fig9_tab2(cfg: &SuiteConfig) -> JitterResults {
-    let runs = [
+    let configs = [
         ServerKind::Simple,
         ServerKind::Sendfile,
         ServerKind::Offloaded,
     ]
-    .into_iter()
-    .map(|kind| {
-        let mut c = ServerConfig::paper(kind, cfg.seed);
-        c.duration = cfg.duration;
-        run_server(c)
-    })
-    .collect();
-    JitterResults { runs }
+    .map(|kind| cfg.server(kind));
+    JitterResults {
+        runs: run_variants(&configs, |c| run_server(c.clone())),
+    }
 }
 
 fn ascii_histogram(f: &mut fmt::Formatter<'_>, h: &Histogram) -> fmt::Result {
@@ -192,15 +244,10 @@ pub struct ServerSideResults {
 
 /// Runs the four server-side scenarios.
 pub fn fig10_tab3(cfg: &SuiteConfig) -> ServerSideResults {
-    let runs = ServerKind::all()
-        .into_iter()
-        .map(|kind| {
-            let mut c = ServerConfig::paper(kind, cfg.seed);
-            c.duration = cfg.duration;
-            run_server(c)
-        })
-        .collect();
-    ServerSideResults { runs }
+    let configs = ServerKind::all().map(|kind| cfg.server(kind));
+    ServerSideResults {
+        runs: run_variants(&configs, |c| run_server(c.clone())),
+    }
 }
 
 impl ServerSideResults {
@@ -269,15 +316,10 @@ pub struct ClientResults {
 
 /// Runs the three client-side scenarios.
 pub fn tab4_client(cfg: &SuiteConfig) -> ClientResults {
-    let runs = ClientKind::all()
-        .into_iter()
-        .map(|kind| {
-            let mut c = ClientConfig::paper(kind, cfg.seed);
-            c.duration = cfg.duration;
-            run_client(c)
-        })
-        .collect();
-    ClientResults { runs }
+    let configs = ClientKind::all().map(|kind| cfg.client(kind));
+    ClientResults {
+        runs: run_variants(&configs, |c| run_client(c.clone())),
+    }
 }
 
 impl ClientResults {
@@ -509,6 +551,20 @@ mod tests {
             duration: SimDuration::from_secs(15),
             seed: 42,
         }
+    }
+
+    #[test]
+    fn variants_come_back_in_config_order() {
+        let configs: Vec<u64> = (0..37).collect();
+        let want: Vec<u64> = configs.iter().map(|i| i * i).collect();
+        assert_eq!(run_variants(&configs, |&i| i * i), want);
+        assert!(run_variants(&[] as &[u64], |&i| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "variant 3 failed")]
+    fn a_failing_variant_fails_the_call() {
+        run_variants(&[1, 2, 3, 4], |&i| assert!(i != 3, "variant {i} failed"));
     }
 
     #[test]

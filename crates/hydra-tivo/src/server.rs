@@ -132,6 +132,9 @@ mod calib {
     pub const META_BYTES: usize = 1024;
 }
 
+/// Chunks in the preloaded movie; the server loops over them.
+const MOVIE_CHUNKS: usize = 256;
+
 struct World {
     host: HostModel,
     nic: NicModel,
@@ -171,11 +174,12 @@ impl World {
         }
         let nic = NicModel::new_3c985b(cfg.seed);
         let mut nas = NasServer::default();
-        // Preload enough movie bytes for the whole run.
-        let cycles = cfg.duration.as_nanos() / cfg.period.as_nanos().max(1) + 16;
+        // A short movie the server loops, like the client's stream: the
+        // NAS charges service time by bytes moved, never by offset, so
+        // looping changes no statistic and bounds the world's memory.
         let movie = nas.preload(
             "/movies/feature.mpg",
-            vec![0x5A; cycles as usize * cfg.packet_bytes],
+            vec![0x5A; MOVIE_CHUNKS * cfg.packet_bytes],
         );
         let kernel_bufs = (0..16)
             .map(|i| host.space.alloc(&format!("nfs-kbuf{i}"), cfg.packet_bytes))
@@ -207,16 +211,23 @@ impl World {
         }
     }
 
+    /// The NFS read of the movie's next chunk, wrapping at the end.
+    fn next_movie_read(&mut self) -> NfsRequest {
+        let len = self.cfg.packet_bytes;
+        let req = NfsRequest::Read {
+            fh: self.movie,
+            offset: self.offset,
+            len: len as u32,
+        };
+        self.offset = (self.offset + len as u64) % (MOVIE_CHUNKS * len) as u64;
+        req
+    }
+
     /// Reads the next chunk from the NAS, returning `(kernel buffer,
     /// response-arrival instant)`. The NIC DMAs the response into a
     /// rotating kernel buffer, which invalidates those cache lines.
     fn nfs_read_chunk(&mut self, now: SimTime) -> (Region, SimTime) {
-        let req = NfsRequest::Read {
-            fh: self.movie,
-            offset: self.offset,
-            len: self.cfg.packet_bytes as u32,
-        };
-        self.offset += self.cfg.packet_bytes as u64;
+        let req = self.next_movie_read();
         let req_out = self.nas_link.transmit(now, 96);
         let (resp, service) = self.nas.handle(&req);
         let bytes = match &resp {
@@ -327,12 +338,7 @@ fn sendfile_cycle(world: &mut World, w: SimTime) -> SimTime {
 /// Offcode transmits it. The host is never involved.
 fn offloaded_cycle(world: &mut World, t: SimTime) {
     // File Offcode: NFS read issued by the NIC itself.
-    let req = NfsRequest::Read {
-        fh: world.movie,
-        offset: world.offset,
-        len: world.cfg.packet_bytes as u32,
-    };
-    world.offset += world.cfg.packet_bytes as u64;
+    let req = world.next_movie_read();
     let fw1 = world.nic.offcode_work(t, 96, Cycles::new(800));
     let req_out = world.nas_link.transmit(fw1.end, 96);
     let (_resp, service) = world.nas.handle(&req);
@@ -528,6 +534,22 @@ mod tests {
         let simple = short(ServerKind::Simple, 30);
         let offloaded = short(ServerKind::Offloaded, 30);
         assert!(simple.packets_delivered < offloaded.packets_delivered * 8 / 10);
+    }
+
+    #[test]
+    fn movie_reads_wrap_and_stay_whole() {
+        let mut world = World::new(ServerConfig::paper(ServerKind::Simple, 42));
+        for n in 0..2 * MOVIE_CHUNKS + 3 {
+            let req = world.next_movie_read();
+            let NfsRequest::Read { offset, .. } = req else {
+                unreachable!("movie reads are reads")
+            };
+            assert_eq!(offset, ((n % MOVIE_CHUNKS) * world.cfg.packet_bytes) as u64);
+            let (NfsResponse::Data(d), _) = world.nas.handle(&req) else {
+                panic!("movie read failed")
+            };
+            assert_eq!(d.len(), world.cfg.packet_bytes);
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! must agree bit for bit; different seeds must actually differ.
 
 use hydra::sim::time::SimDuration;
-use hydra::tivo::client::{run_client, ClientConfig, ClientKind};
-use hydra::tivo::server::{run_server, ServerConfig, ServerKind};
+use hydra::tivo::client::{run_client, ClientConfig, ClientKind, ClientRun};
+use hydra::tivo::experiments::{fig10_tab3, fig9_tab2, tab4_client, SuiteConfig};
+use hydra::tivo::server::{run_server, ServerConfig, ServerKind, ServerRun};
 
 fn server_cfg(seed: u64) -> ServerConfig {
     let mut c = ServerConfig::paper(ServerKind::Simple, seed);
@@ -62,5 +63,72 @@ fn rng_streams_are_stable_across_split_order() {
     for _ in 0..64 {
         assert_eq!(a1.next_u64(), a2.next_u64());
         assert_eq!(b1.next_u64(), b2.next_u64());
+    }
+}
+
+fn assert_same_server_runs(got: &[ServerRun], kinds: &[ServerKind], suite: &SuiteConfig) {
+    let got_kinds: Vec<_> = got.iter().map(|r| r.kind).collect();
+    assert_eq!(got_kinds, kinds, "runs come back in table order");
+    for run in got {
+        let mut c = ServerConfig::paper(run.kind, suite.seed);
+        c.duration = suite.duration;
+        let want = run_server(c);
+        let what = format!("seed {} {:?}", suite.seed, run.kind);
+        assert_eq!(run.jitter_ms.values(), want.jitter_ms.values(), "{what}");
+        assert_eq!(run.cpu_util.values(), want.cpu_util.values(), "{what}");
+        assert_eq!(
+            run.l2_miss_rate.values(),
+            want.l2_miss_rate.values(),
+            "{what}"
+        );
+        assert_eq!(run.packets_delivered, want.packets_delivered, "{what}");
+    }
+}
+
+fn assert_same_client_runs(got: &[ClientRun], suite: &SuiteConfig) {
+    let got_kinds: Vec<_> = got.iter().map(|r| r.kind).collect();
+    assert_eq!(
+        got_kinds,
+        ClientKind::all(),
+        "runs come back in table order"
+    );
+    for run in got {
+        let mut c = ClientConfig::paper(run.kind, suite.seed);
+        c.duration = suite.duration;
+        let want = run_client(c);
+        let what = format!("seed {} {:?}", suite.seed, run.kind);
+        assert_eq!(run.packets, want.packets, "{what}");
+        assert_eq!(run.frames_decoded, want.frames_decoded, "{what}");
+        assert_eq!(run.bytes_stored, want.bytes_stored, "{what}");
+        assert_eq!(run.bus_transactions, want.bus_transactions, "{what}");
+        assert_eq!(run.cpu_util.values(), want.cpu_util.values(), "{what}");
+        assert_eq!(
+            run.l2_miss_rate.values(),
+            want.l2_miss_rate.values(),
+            "{what}"
+        );
+    }
+}
+
+/// The suite entry points run their variants concurrently; every run
+/// they return must equal the same config run on its own.
+#[test]
+fn suite_entry_points_match_serial_runs() {
+    for seed in [42, 7919] {
+        let suite = SuiteConfig {
+            duration: SimDuration::from_secs(2),
+            seed,
+        };
+        assert_same_server_runs(
+            &fig9_tab2(&suite).runs,
+            &[
+                ServerKind::Simple,
+                ServerKind::Sendfile,
+                ServerKind::Offloaded,
+            ],
+            &suite,
+        );
+        assert_same_server_runs(&fig10_tab3(&suite).runs, &ServerKind::all(), &suite);
+        assert_same_client_runs(&tab4_client(&suite).runs, &suite);
     }
 }

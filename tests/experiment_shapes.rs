@@ -2,18 +2,62 @@
 //! the full experiment harness. These are the "shape" checks of DESIGN.md
 //! §4 — who wins, by roughly what factor, where crossovers fall.
 
+use std::sync::OnceLock;
+
 use hydra::sim::time::SimDuration;
 use hydra::tivo::client::ClientKind;
 use hydra::tivo::experiments::{
-    fig1, fig10_tab3, fig9_tab2, ilp_vs_greedy, tab4_client, SuiteConfig,
+    fig1, fig10_tab3, fig9_tab2, ilp_vs_greedy, tab4_client, ClientResults, JitterResults,
+    ServerSideResults, SuiteConfig,
 };
 use hydra::tivo::server::ServerKind;
 
-fn cfg() -> SuiteConfig {
-    SuiteConfig {
-        duration: SimDuration::from_secs(20),
-        seed: 42,
-    }
+/// The benchmark's pinned digest of the three paper tables rendered at
+/// seed 42 and 20 simulated seconds per run.
+const TABLES_DIGEST: &str = include_str!("../perfbench/data/tivo_digest.txt");
+
+struct Suite {
+    fig9: JitterResults,
+    fig10: ServerSideResults,
+    tab4: ClientResults,
+}
+
+/// The three paper-table entry points at seed 42 and 20 s, run once and
+/// shared by every test below.
+fn suite() -> &'static Suite {
+    static SUITE: OnceLock<Suite> = OnceLock::new();
+    SUITE.get_or_init(|| {
+        let cfg = SuiteConfig {
+            duration: SimDuration::from_secs(20),
+            seed: 42,
+        };
+        Suite {
+            fig9: fig9_tab2(&cfg),
+            fig10: fig10_tab3(&cfg),
+            tab4: tab4_client(&cfg),
+        }
+    })
+}
+
+/// 64-bit FNV-1a, the digest the benchmark pins.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn paper_tables_match_the_pinned_digest() {
+    let s = suite();
+    let rendered = format!("{}\n{}\n{}", s.fig9, s.fig10, s.tab4);
+    let pinned = TABLES_DIGEST
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("fnv64 "))
+        .expect("digest file has an fnv64 line");
+    assert_eq!(
+        format!("{:016x}", fnv64(rendered.as_bytes())),
+        pinned.trim()
+    );
 }
 
 #[test]
@@ -40,7 +84,7 @@ fn figure_1_shape() {
 
 #[test]
 fn table_2_and_figure_9_shape() {
-    let r = fig9_tab2(&cfg());
+    let r = &suite().fig9;
     let stat = |kind: ServerKind| {
         r.runs
             .iter()
@@ -76,7 +120,7 @@ fn table_2_and_figure_9_shape() {
 
 #[test]
 fn table_3_and_figure_10_shape() {
-    let r = fig10_tab3(&cfg());
+    let r = &suite().fig10;
     let util = |kind: ServerKind| {
         r.runs
             .iter()
@@ -103,7 +147,7 @@ fn table_3_and_figure_10_shape() {
 
 #[test]
 fn table_4_shape() {
-    let r = tab4_client(&cfg());
+    let r = &suite().tab4;
     let util = |kind: ClientKind| {
         r.runs
             .iter()
