@@ -23,7 +23,8 @@ use hydra_obs::json_str;
 use hydra_tivo::certify::{certify_service_table, certify_set};
 use hydra_verify::{Certification, CertifyInput, Severity, VerifyInput};
 
-use crate::lint::{parse_deployment_file, testbed_table};
+use crate::lint::parse_deployment_file;
+use hydra_core::device::DeviceRegistry;
 
 /// One certified deployment: a name (built-in set or file path) and the
 /// six-pass certification for it.
@@ -40,7 +41,7 @@ fn certify_odfs(
     odfs: &[hydra_odf::odf::OdfDocument],
     overlay: Option<&hydra_verify::FaultOverlay>,
 ) -> Certification {
-    let table = testbed_table();
+    let table = DeviceRegistry::testbed().verify_table();
     let services = certify_service_table();
     hydra_verify::certify(&CertifyInput {
         verify: VerifyInput {

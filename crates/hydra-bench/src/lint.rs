@@ -14,7 +14,7 @@
 
 use std::fs;
 
-use hydra_core::device::{DeviceDescriptor, DeviceRegistry};
+use hydra_core::device::DeviceRegistry;
 use hydra_obs::json_str;
 use hydra_odf::odf::OdfDocument;
 use hydra_odf::xml;
@@ -31,19 +31,8 @@ pub struct LintResult {
     pub report: Report,
 }
 
-/// The full simulated testbed every deployment is linted against: host
-/// CPU, programmable NIC, smart disk, and GPU — the same registry the
-/// demo deployment and the paper's experiments use.
-pub(crate) fn testbed_table() -> hydra_verify::DeviceTable {
-    let mut reg = DeviceRegistry::new();
-    reg.install(DeviceDescriptor::programmable_nic());
-    reg.install(DeviceDescriptor::smart_disk());
-    reg.install(DeviceDescriptor::gpu());
-    reg.verify_table()
-}
-
 fn verify_set(odfs: &[OdfDocument]) -> Report {
-    let table = testbed_table();
+    let table = DeviceRegistry::testbed().verify_table();
     hydra_verify::verify(&VerifyInput {
         odfs,
         devices: &table,

@@ -32,11 +32,7 @@ use hydra_verify::{Certification, CertifyInput, FaultOverlay, VerifyInput};
 
 fn certify(name: &str, overlay: Option<&FaultOverlay>) -> Certification {
     let (odfs, _) = certify_set(name).expect("built-in set");
-    let mut reg = hydra_core::device::DeviceRegistry::new();
-    reg.install(hydra_core::device::DeviceDescriptor::programmable_nic());
-    reg.install(hydra_core::device::DeviceDescriptor::smart_disk());
-    reg.install(hydra_core::device::DeviceDescriptor::gpu());
-    let table = reg.verify_table();
+    let table = hydra_core::device::DeviceRegistry::testbed().verify_table();
     let services = certify_service_table();
     hydra_verify::certify(&CertifyInput {
         verify: VerifyInput {

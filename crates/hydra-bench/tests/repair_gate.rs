@@ -13,19 +13,11 @@
 mod artifacts;
 
 use artifacts::{assert_budget, budget_passes, each_line_trips_alone_past_its_tolerance};
-use hydra_core::device::{DeviceDescriptor, DeviceId, DeviceRegistry};
+use hydra_core::device::{DeviceId, DeviceRegistry};
 use hydra_core::layout::{GraphDelta, LayoutGraph, Objective};
 use hydra_tivo::faults::fault_demo_odfs;
 
 const BUDGET: &str = "budgets/demo_recovery.json";
-
-fn demo_registry() -> DeviceRegistry {
-    let mut reg = DeviceRegistry::new();
-    reg.install(DeviceDescriptor::programmable_nic()); // dev1
-    reg.install(DeviceDescriptor::smart_disk()); // dev2
-    reg.install(DeviceDescriptor::gpu()); // dev3
-    reg
-}
 
 /// The demo's recovery re-layout must search strictly less than a
 /// from-scratch solve of the identical post-failure problem, at equal
@@ -34,7 +26,7 @@ fn demo_registry() -> DeviceRegistry {
 /// failure pays zero branch-and-bound nodes.
 #[test]
 fn recovery_repair_searches_strictly_less_than_scratch() {
-    let reg = demo_registry();
+    let reg = DeviceRegistry::testbed();
     let mut g = LayoutGraph::from_odfs(&fault_demo_odfs(), &reg).expect("demo graph builds");
     let obj = Objective::MaximizeOffloading;
     let prev = g.resolve_ilp(&obj).expect("pre-fault layout");

@@ -418,7 +418,7 @@ impl Channel {
     /// Multicast delivers to every endpoint in one send (hardware
     /// multicast: the cost is charged once, per the paper's note).
     ///
-    /// Every send mints a [`TraceCtx`]: a *send* event on the host, then
+    /// Every send mints a [`TraceCtx`](hydra_obs::TraceCtx): a *send* event on the host, then
     /// — if the message is accepted — a *hop* event on the target device
     /// as the payload enters the provider's queue/descriptor ring. Lost
     /// or rejected messages close their trace with a *drop* event, so a

@@ -10,11 +10,11 @@
 //! specific channel, in terms of latency and throughput"); the **Channel
 //! Executive** picks the cheapest capable provider.
 //!
-//! The layer is split by concern: [`delivery`] holds configuration,
-//! provider cost models and the single-message data path; [`reliability`]
+//! The layer is split by concern: `delivery` holds configuration,
+//! provider cost models and the single-message data path; `reliability`
 //! the delivery guarantees and pluggable ring backpressure;
-//! [`batching`] the vectored hot paths; [`observe`] counters and the
-//! live cost profile; [`adaptive`] online provider selection. The
+//! `batching` the vectored hot paths; `observe` counters and the
+//! live cost profile; `adaptive` online provider selection. The
 //! public API is re-exported flat from this module, so callers are
 //! oblivious to the split.
 

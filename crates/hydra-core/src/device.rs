@@ -178,6 +178,16 @@ impl DeviceRegistry {
         }
     }
 
+    /// The paper's §6.4 testbed: the host plus the programmable NIC
+    /// (device 1), the smart disk (device 2) and the GPU (device 3).
+    pub fn testbed() -> Self {
+        let mut reg = DeviceRegistry::new();
+        reg.install(DeviceDescriptor::programmable_nic());
+        reg.install(DeviceDescriptor::smart_disk());
+        reg.install(DeviceDescriptor::gpu());
+        reg
+    }
+
     /// Installs a device, returning its id.
     pub fn install(&mut self, device: DeviceDescriptor) -> DeviceId {
         let id = DeviceId(self.devices.len() as u32);
@@ -290,14 +300,7 @@ mod tests {
     #[test]
     fn unspecified_attrs_are_wildcards() {
         let nic = DeviceDescriptor::programmable_nic();
-        let loose = DeviceClassSpec {
-            id: class_ids::NETWORK,
-            name: "any nic".into(),
-            bus: None,
-            mac: None,
-            vendor: None,
-        };
-        assert!(nic.matches(&loose));
+        assert!(nic.matches(&DeviceClassSpec::of(class_ids::NETWORK)));
     }
 
     #[test]
@@ -308,15 +311,28 @@ mod tests {
 
     #[test]
     fn registry_matching_and_compatibility() {
-        let mut reg = DeviceRegistry::new();
-        let nic = reg.install(DeviceDescriptor::programmable_nic());
-        let disk = reg.install(DeviceDescriptor::smart_disk());
-        let gpu = reg.install(DeviceDescriptor::gpu());
-        assert_eq!(reg.matching(&[nic_spec()]), vec![nic]);
+        let reg = DeviceRegistry::testbed();
+        assert_eq!(reg.matching(&[nic_spec()]), vec![DeviceId(1)]);
 
         let compat = reg.compatibility(&[nic_spec()]);
         assert_eq!(compat, vec![true, true, false, false]);
-        let _ = (disk, gpu);
+    }
+
+    #[test]
+    fn testbed_is_host_nic_disk_gpu() {
+        let want = vec![
+            DeviceDescriptor::host(),
+            DeviceDescriptor::programmable_nic(),
+            DeviceDescriptor::smart_disk(),
+            DeviceDescriptor::gpu(),
+        ];
+        let reg = DeviceRegistry::testbed();
+        assert_eq!(reg.len(), 4);
+        for ((id, got), want) in reg.iter().zip(&want) {
+            assert_eq!(got.cpu, want.cpu, "{id}");
+        }
+        let by_hand = DeviceRegistry { devices: want };
+        assert_eq!(reg.verify_table(), by_hand.verify_table());
     }
 
     #[test]
@@ -334,21 +350,9 @@ mod tests {
 
     #[test]
     fn verify_table_matching_agrees_with_registry() {
-        let mut reg = DeviceRegistry::new();
-        reg.install(DeviceDescriptor::programmable_nic());
-        reg.install(DeviceDescriptor::smart_disk());
-        reg.install(DeviceDescriptor::gpu());
+        let reg = DeviceRegistry::testbed();
         let table = reg.verify_table();
-        let mut specs = vec![
-            nic_spec(),
-            DeviceClassSpec {
-                id: class_ids::GPU,
-                name: "gpu".into(),
-                bus: None,
-                mac: None,
-                vendor: None,
-            },
-        ];
+        let mut specs = vec![nic_spec(), DeviceClassSpec::of(class_ids::GPU)];
         // Registry and verifier table must agree spec-by-spec...
         for spec in &specs {
             for (i, d) in reg.iter() {

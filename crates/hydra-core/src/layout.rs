@@ -983,26 +983,7 @@ impl LayoutGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::DeviceDescriptor;
     use hydra_odf::odf::{class_ids, DeviceClassSpec, Import};
-
-    fn registry() -> DeviceRegistry {
-        let mut reg = DeviceRegistry::new();
-        reg.install(DeviceDescriptor::programmable_nic()); // dev1
-        reg.install(DeviceDescriptor::smart_disk()); // dev2
-        reg.install(DeviceDescriptor::gpu()); // dev3
-        reg
-    }
-
-    fn class(id: u32) -> DeviceClassSpec {
-        DeviceClassSpec {
-            id,
-            name: format!("class-{id}"),
-            bus: None,
-            mac: None,
-            vendor: None,
-        }
-    }
 
     fn node(guid: u64, compat: Vec<bool>) -> LayoutNode {
         LayoutNode {
@@ -1016,7 +997,7 @@ mod tests {
     #[test]
     fn from_odfs_builds_nodes_and_edges() {
         let streamer = OdfDocument::new("tivo.Streamer", Guid(1))
-            .with_target(class(class_ids::NETWORK))
+            .with_target(DeviceClassSpec::of(class_ids::NETWORK))
             .with_import(Import {
                 file: String::new(),
                 bind_name: "tivo.Decoder".into(),
@@ -1024,8 +1005,9 @@ mod tests {
                 constraint: ConstraintKind::Gang,
                 priority: 0,
             });
-        let decoder = OdfDocument::new("tivo.Decoder", Guid(2)).with_target(class(class_ids::GPU));
-        let g = LayoutGraph::from_odfs(&[streamer, decoder], &registry()).unwrap();
+        let decoder = OdfDocument::new("tivo.Decoder", Guid(2))
+            .with_target(DeviceClassSpec::of(class_ids::GPU));
+        let g = LayoutGraph::from_odfs(&[streamer, decoder], &DeviceRegistry::testbed()).unwrap();
         assert_eq!(g.nodes().len(), 2);
         assert_eq!(g.edges().len(), 1);
         assert_eq!(g.nodes()[0].compat, vec![true, true, false, false]);
@@ -1043,7 +1025,7 @@ mod tests {
             priority: 0,
         });
         assert!(matches!(
-            LayoutGraph::from_odfs(&[a], &registry()),
+            LayoutGraph::from_odfs(&[a], &DeviceRegistry::testbed()),
             Err(LayoutError::UnknownImport { .. })
         ));
     }
@@ -1058,7 +1040,7 @@ mod tests {
             priority: 0,
         });
         assert_eq!(
-            LayoutGraph::from_odfs(&[a], &registry()),
+            LayoutGraph::from_odfs(&[a], &DeviceRegistry::testbed()),
             Err(LayoutError::SelfImport(Guid(1)))
         );
     }
@@ -1129,7 +1111,7 @@ mod tests {
         let a = OdfDocument::new("a", Guid(1));
         let b = OdfDocument::new("b", Guid(1));
         assert_eq!(
-            LayoutGraph::from_odfs(&[a, b], &registry()),
+            LayoutGraph::from_odfs(&[a, b], &DeviceRegistry::testbed()),
             Err(LayoutError::DuplicateGuid(Guid(1)))
         );
     }

@@ -64,16 +64,6 @@ pub struct RuntimeConfig {
     /// default; the escape hatch exists for tests that deliberately
     /// deploy broken sets to exercise runtime fallback paths.
     pub verify_deployments: bool,
-    /// Also run the quantitative certification passes (flow bounds
-    /// HV040–HV044 and ring-race detection HV050–HV051) in the
-    /// pre-flight gate, rejecting deployments whose declared traffic is
-    /// statically unservable or whose ring sharing can race. Off by
-    /// default: quantitative findings depend on `<traffic>` declarations
-    /// most existing sets do not carry, and shared-instance reuse (a
-    /// deliberate paper feature) would otherwise need per-set waivers.
-    /// [`Runtime::certify_deployment`] reports the full certification
-    /// regardless of this flag.
-    pub certify_deployments: bool,
     /// Heartbeat deadlines for the device health monitor driven by
     /// [`Runtime::pulse`].
     pub health: HealthPolicy,
@@ -87,7 +77,6 @@ impl Default for RuntimeConfig {
             load_strategy: LoadStrategy::HostSideLink,
             flight_capacity: hydra_obs::trace::DEFAULT_FLIGHT_CAPACITY,
             verify_deployments: true,
-            certify_deployments: false,
             health: HealthPolicy::default(),
         }
     }
@@ -554,11 +543,7 @@ impl Runtime {
         // 2. Static pre-flight verification (on by default): reject
         // provably broken deployments before anything is linked.
         if self.config.verify_deployments {
-            let report = if self.config.certify_deployments {
-                self.run_certifier(guid, &order, &odfs, now).report
-            } else {
-                self.run_verifier(guid, &order, &odfs, now)
-            };
+            let report = self.run_verifier(guid, &order, &odfs, now);
             if report.has_errors() {
                 let rendered: Vec<String> = report.errors().map(ToString::to_string).collect();
                 return Err(RuntimeError::Verification(rendered.join("; ")));
@@ -1662,16 +1647,6 @@ mod tests {
     use crate::device::DeviceDescriptor;
     use hydra_odf::odf::{class_ids, ConstraintKind, DeviceClassSpec, Import};
 
-    fn class(id: u32) -> DeviceClassSpec {
-        DeviceClassSpec {
-            id,
-            name: format!("class-{id}"),
-            bus: None,
-            mac: None,
-            vendor: None,
-        }
-    }
-
     #[derive(Debug)]
     struct Counter {
         guid: Guid,
@@ -1728,22 +1703,15 @@ mod tests {
         }
     }
 
-    fn full_registry() -> DeviceRegistry {
-        let mut reg = DeviceRegistry::new();
-        reg.install(DeviceDescriptor::programmable_nic()); // dev1
-        reg.install(DeviceDescriptor::smart_disk()); // dev2
-        reg.install(DeviceDescriptor::gpu()); // dev3
-        reg
-    }
-
     fn runtime() -> Runtime {
-        Runtime::new(full_registry(), RuntimeConfig::default())
+        Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default())
     }
 
     #[test]
     fn deploys_single_offcode_to_matching_device() {
         let mut rt = runtime();
-        let odf = OdfDocument::new("t.Checksum", Guid(1)).with_target(class(class_ids::NETWORK));
+        let odf = OdfDocument::new("t.Checksum", Guid(1))
+            .with_target(DeviceClassSpec::of(class_ids::NETWORK));
         rt.register_offcode(odf, || Counter::boxed(1, "t.Checksum"))
             .unwrap();
         let id = rt.create_offcode(Guid(1), SimTime::ZERO).unwrap();
@@ -1768,7 +1736,7 @@ mod tests {
     fn deploys_import_closure_with_constraints() {
         let mut rt = runtime();
         let streamer = OdfDocument::new("t.Streamer", Guid(1))
-            .with_target(class(class_ids::NETWORK))
+            .with_target(DeviceClassSpec::of(class_ids::NETWORK))
             .with_import(Import {
                 file: String::new(),
                 bind_name: "t.Decoder".into(),
@@ -1777,7 +1745,7 @@ mod tests {
                 priority: 0,
             });
         let decoder = OdfDocument::new("t.Decoder", Guid(2))
-            .with_target(class(class_ids::GPU))
+            .with_target(DeviceClassSpec::of(class_ids::GPU))
             .with_import(Import {
                 file: String::new(),
                 bind_name: "t.Display".into(),
@@ -1785,7 +1753,8 @@ mod tests {
                 constraint: ConstraintKind::Pull,
                 priority: 0,
             });
-        let display = OdfDocument::new("t.Display", Guid(3)).with_target(class(class_ids::GPU));
+        let display =
+            OdfDocument::new("t.Display", Guid(3)).with_target(DeviceClassSpec::of(class_ids::GPU));
         rt.register_offcode(streamer, || Counter::boxed(1, "t.Streamer"))
             .unwrap();
         rt.register_offcode(decoder, || Counter::boxed(2, "t.Decoder"))
@@ -1834,7 +1803,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         let mut rt = Runtime::new(reg, config);
-        let odf = OdfDocument::new("t.Big", Guid(1)).with_target(class(class_ids::NETWORK));
+        let odf =
+            OdfDocument::new("t.Big", Guid(1)).with_target(DeviceClassSpec::of(class_ids::NETWORK));
         rt.register_offcode(odf, || Counter::boxed(1, "t.Big"))
             .unwrap();
         let id = rt.create_offcode(Guid(1), SimTime::ZERO).unwrap();
@@ -1848,7 +1818,8 @@ mod tests {
         tiny_nic.offcode_memory = 64;
         reg.install(tiny_nic);
         let mut rt = Runtime::new(reg, RuntimeConfig::default());
-        let odf = OdfDocument::new("t.Big", Guid(1)).with_target(class(class_ids::NETWORK));
+        let odf =
+            OdfDocument::new("t.Big", Guid(1)).with_target(DeviceClassSpec::of(class_ids::NETWORK));
         rt.register_offcode(odf, || Counter::boxed(1, "t.Big"))
             .unwrap();
         match rt.create_offcode(Guid(1), SimTime::ZERO) {
@@ -1865,7 +1836,7 @@ mod tests {
     fn verify_deployment_reports_without_deploying() {
         let mut rt = runtime();
         let a = OdfDocument::new("a", Guid(1))
-            .with_target(class(class_ids::NETWORK))
+            .with_target(DeviceClassSpec::of(class_ids::NETWORK))
             .with_import(Import {
                 file: String::new(),
                 bind_name: "b".into(),
@@ -1874,7 +1845,7 @@ mod tests {
                 priority: 0,
             });
         let b = OdfDocument::new("b", Guid(2))
-            .with_target(class(class_ids::NETWORK))
+            .with_target(DeviceClassSpec::of(class_ids::NETWORK))
             .with_import(Import {
                 file: String::new(),
                 bind_name: "a".into(),
@@ -1905,7 +1876,7 @@ mod tests {
     fn clean_deployment_passes_verifier_gate() {
         let mut rt = runtime();
         rt.register_offcode(
-            OdfDocument::new("ok", Guid(1)).with_target(class(class_ids::NETWORK)),
+            OdfDocument::new("ok", Guid(1)).with_target(DeviceClassSpec::of(class_ids::NETWORK)),
             || Counter::boxed(1, "ok"),
         )
         .unwrap();
@@ -1918,7 +1889,7 @@ mod tests {
     fn invoke_routes_to_offcode_and_books_work() {
         let mut rt = runtime();
         rt.register_offcode(
-            OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+            OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::of(class_ids::NETWORK)),
             || Counter::boxed(1, "c"),
         )
         .unwrap();
@@ -1937,7 +1908,7 @@ mod tests {
     fn channel_dispatch_via_pump() {
         let mut rt = runtime();
         rt.register_offcode(
-            OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+            OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::of(class_ids::NETWORK)),
             || Counter::boxed(1, "c"),
         )
         .unwrap();
@@ -1961,7 +1932,7 @@ mod tests {
     fn batched_calls_dispatch_via_pump() {
         let mut rt = runtime();
         rt.register_offcode(
-            OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+            OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::of(class_ids::NETWORK)),
             || Counter::boxed(1, "c"),
         )
         .unwrap();
@@ -1988,7 +1959,7 @@ mod tests {
     fn teardown_releases_resources_and_instances() {
         let mut rt = runtime();
         rt.register_offcode(
-            OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+            OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::of(class_ids::NETWORK)),
             || Counter::boxed(1, "c"),
         )
         .unwrap();
@@ -2007,14 +1978,14 @@ mod tests {
     #[test]
     fn greedy_solver_also_deploys() {
         let mut rt = Runtime::new(
-            full_registry(),
+            DeviceRegistry::testbed(),
             RuntimeConfig {
                 solver: SolverKind::Greedy,
                 ..RuntimeConfig::default()
             },
         );
         rt.register_offcode(
-            OdfDocument::new("c", Guid(1)).with_target(class(class_ids::GPU)),
+            OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::of(class_ids::GPU)),
             || Counter::boxed(1, "c"),
         )
         .unwrap();
@@ -2025,14 +1996,14 @@ mod tests {
     #[test]
     fn device_side_loading_strategy_works() {
         let mut rt = Runtime::new(
-            full_registry(),
+            DeviceRegistry::testbed(),
             RuntimeConfig {
                 load_strategy: LoadStrategy::DeviceSideLink,
                 ..RuntimeConfig::default()
             },
         );
         rt.register_offcode(
-            OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+            OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::of(class_ids::NETWORK)),
             || Counter::boxed(1, "c"),
         )
         .unwrap();
@@ -2044,7 +2015,7 @@ mod tests {
     #[test]
     fn trace_export_spans_devices_and_respects_flight_capacity() {
         let mut rt = Runtime::new(
-            full_registry(),
+            DeviceRegistry::testbed(),
             RuntimeConfig {
                 flight_capacity: 8,
                 ..RuntimeConfig::default()
@@ -2052,7 +2023,7 @@ mod tests {
         );
         assert_eq!(rt.recorder().flight_capacity(), 8);
         rt.register_offcode(
-            OdfDocument::new("c", Guid(1)).with_target(class(class_ids::NETWORK)),
+            OdfDocument::new("c", Guid(1)).with_target(DeviceClassSpec::of(class_ids::NETWORK)),
             || Counter::boxed(1, "c"),
         )
         .unwrap();

@@ -91,6 +91,18 @@ impl DeviceClassSpec {
             vendor: None,
         }
     }
+
+    /// A bare spec for class `id`, named `class-{id}`: no bus, MAC or
+    /// vendor requirement, so any device of the class matches.
+    pub fn of(id: u32) -> Self {
+        DeviceClassSpec {
+            id,
+            name: format!("class-{id}"),
+            bus: None,
+            mac: None,
+            vendor: None,
+        }
+    }
 }
 
 /// A declared arrival curve for an Offcode's outbound calls: a
@@ -617,6 +629,15 @@ mod tests {
                 vendor: None,
             })
             .with_target(DeviceClassSpec::host_cpu());
+        let re = OdfDocument::parse(&odf.to_xml()).unwrap();
+        assert_eq!(odf, re);
+    }
+
+    #[test]
+    fn bare_class_spec_round_trips() {
+        let odf = OdfDocument::new("test.Bare", Guid(7))
+            .with_target(DeviceClassSpec::of(class_ids::STORAGE));
+        assert_eq!(odf.targets[0].name, "class-2");
         let re = OdfDocument::parse(&odf.to_xml()).unwrap();
         assert_eq!(odf, re);
     }

@@ -23,7 +23,7 @@
 
 use bytes::Bytes;
 use hydra_core::channel::{ChannelConfig, ChannelExecutive, CHANNEL_QUEUE_DEPTH};
-use hydra_core::device::{DeviceDescriptor, DeviceId, DeviceRegistry};
+use hydra_core::device::{DeviceId, DeviceRegistry};
 use hydra_core::runtime::{Runtime, RuntimeConfig};
 use hydra_obs::{peak_level, MetricsSnapshot, Sampler};
 use hydra_odf::odf::{
@@ -44,16 +44,6 @@ const CRASH_RECOVERY_NS: u64 = 1_000_000;
 /// Charge per lost frame / exhausted ring slot when converting the
 /// remaining fault kinds into disruption time.
 const PER_UNIT_FAULT_NS: u64 = 10_000;
-
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
 
 fn link(guid: Guid, bind_name: &str) -> Import {
     Import {
@@ -120,21 +110,21 @@ pub fn stats_certify_odfs() -> Vec<OdfDocument> {
         .with_traffic(traffic(10_000, 2, 16_384))
         .with_import(link(Guid(0x9002), "stats.NicSink"));
     let nic_sink = OdfDocument::new("stats.NicSink", Guid(0x9002))
-        .with_target(class(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::of(class_ids::NETWORK))
         .with_traffic(traffic(4_000, 2, 16_384))
         .with_import(link(Guid(0x9003), "stats.GpuSink"))
         .with_import(link(Guid(0x9004), "stats.DiskSink"))
         .with_import(link(Guid(0x9005), "stats.HostSink"));
-    let gpu_sink =
-        OdfDocument::new("stats.GpuSink", Guid(0x9003)).with_target(class(class_ids::GPU));
-    let disk_sink =
-        OdfDocument::new("stats.DiskSink", Guid(0x9004)).with_target(class(class_ids::STORAGE));
+    let gpu_sink = OdfDocument::new("stats.GpuSink", Guid(0x9003))
+        .with_target(DeviceClassSpec::of(class_ids::GPU));
+    let disk_sink = OdfDocument::new("stats.DiskSink", Guid(0x9004))
+        .with_target(DeviceClassSpec::of(class_ids::STORAGE));
     let host_sink = OdfDocument::new("stats.HostSink", Guid(0x9005));
     let ctl_source = OdfDocument::new("stats.CtlSource", Guid(0x9006))
         .with_traffic(traffic(2_000, 1, 32))
         .with_import(link(Guid(0x9007), "stats.CtlSink"));
-    let ctl_sink =
-        OdfDocument::new("stats.CtlSink", Guid(0x9007)).with_target(class(class_ids::STORAGE));
+    let ctl_sink = OdfDocument::new("stats.CtlSink", Guid(0x9007))
+        .with_target(DeviceClassSpec::of(class_ids::STORAGE));
     let host_load = OdfDocument::new("stats.HostLoad", Guid(0x9008))
         .with_traffic(traffic(2_000, 1, 16_384))
         .with_import(link(Guid(0x9009), "stats.HostSpin"));
@@ -248,11 +238,7 @@ fn device_for(odf: &OdfDocument) -> DeviceId {
 /// bracket.
 #[must_use]
 pub fn observe_declared(odfs: &[OdfDocument]) -> Observation {
-    let mut reg = DeviceRegistry::new();
-    reg.install(DeviceDescriptor::programmable_nic()); // dev1
-    reg.install(DeviceDescriptor::smart_disk()); // dev2
-    reg.install(DeviceDescriptor::gpu()); // dev3
-    let mut rt = Runtime::new(reg, RuntimeConfig::default());
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
 
     let mut imported = vec![false; odfs.len()];
     let mut edges = Vec::new();
@@ -381,11 +367,7 @@ mod tests {
 
     fn certify(name: &str) -> Certification {
         let (odfs, overlay) = certify_set(name).expect("built-in set");
-        let mut reg = DeviceRegistry::new();
-        reg.install(DeviceDescriptor::programmable_nic());
-        reg.install(DeviceDescriptor::smart_disk());
-        reg.install(DeviceDescriptor::gpu());
-        let table = reg.verify_table();
+        let table = DeviceRegistry::testbed().verify_table();
         let services = certify_service_table();
         hydra_verify::certify(&CertifyInput {
             verify: VerifyInput {
@@ -417,11 +399,7 @@ mod tests {
     fn stats_overlay_widens_but_stays_bounded() {
         let base = {
             let (odfs, _) = certify_set("stats").expect("set");
-            let mut reg = DeviceRegistry::new();
-            reg.install(DeviceDescriptor::programmable_nic());
-            reg.install(DeviceDescriptor::smart_disk());
-            reg.install(DeviceDescriptor::gpu());
-            let table = reg.verify_table();
+            let table = DeviceRegistry::testbed().verify_table();
             let services = certify_service_table();
             hydra_verify::certify(&CertifyInput {
                 verify: VerifyInput {

@@ -34,6 +34,8 @@ use hydra_sim::stats::Samples;
 use hydra_sim::time::{SimDuration, SimTime};
 use hydra_sim::Sim;
 
+use crate::testbed::{schedule_host, HostWindows, PACKET_BYTES, PERIOD};
+
 /// Which client implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClientKind {
@@ -65,23 +67,15 @@ impl ClientKind {
     }
 }
 
-/// Experiment parameters.
+/// Experiment parameters. The stream's chunk size (1 kB), arrival
+/// period (5 ms) and QCIF geometry, and the 5 s utilization/L2 sampling
+/// window, are the paper's, fixed.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Which implementation.
     pub kind: ClientKind,
-    /// Stream chunk size (paper: 1 kB).
-    pub packet_bytes: usize,
-    /// Chunk arrival period (paper: 5 ms).
-    pub period: SimDuration,
     /// Simulated run length.
     pub duration: SimDuration,
-    /// Sampling period for utilization/L2 windows.
-    pub sample_period: SimDuration,
-    /// Video geometry (QCIF by default).
-    pub width: usize,
-    /// Video height.
-    pub height: usize,
     /// Host I/O interconnect generation. The paper's footnote 2: on PCIe
     /// the NIC-to-peer forward is a single transaction; on classic PCI it
     /// crosses the host bridge twice.
@@ -95,12 +89,7 @@ impl ClientConfig {
     pub fn paper(kind: ClientKind, seed: u64) -> Self {
         ClientConfig {
             kind,
-            packet_bytes: 1024,
-            period: SimDuration::from_millis(5),
             duration: SimDuration::from_secs(60),
-            sample_period: SimDuration::from_secs(5),
-            width: 176,
-            height: 144,
             bus: hydra_hw::bus::BusSpec::pci64(),
             seed,
         }
@@ -148,6 +137,12 @@ mod calib {
     pub const DECODE_DISPATCH: Cycles = Cycles::new(40_000);
 }
 
+/// Video width: QCIF.
+const WIDTH: usize = 176;
+
+/// Video height: QCIF.
+const HEIGHT: usize = 144;
+
 /// The pre-encoded looping stream the server sends. The idle client
 /// never reads it and keeps the empty default.
 #[derive(Debug, Clone, Default)]
@@ -158,15 +153,16 @@ struct StreamSource {
 }
 
 impl StreamSource {
-    fn new(cfg: &ClientConfig) -> Self {
-        let video = SyntheticVideo::new(cfg.width, cfg.height);
+    /// The paper's stream: 50 QCIF frames, IBBP, cut into 1 kB chunks.
+    fn encoded() -> Self {
+        let video = SyntheticVideo::new(WIDTH, HEIGHT);
         let raw: Vec<_> = (0..50).map(|i| video.frame(i)).collect();
         let frames = Encoder::new(CodecConfig {
             quantizer: 6,
             gop: GopConfig::ibbp(),
         })
         .encode_sequence(&raw);
-        let mut chunker = Chunker::new(cfg.packet_bytes);
+        let mut chunker = Chunker::new(PACKET_BYTES);
         let chunks = frames.iter().flat_map(|f| chunker.chunk_frame(f)).collect();
         StreamSource {
             chunks,
@@ -214,7 +210,6 @@ struct World {
     disk: SmartDiskModel,
     disk_nas: NasServer,
     source: StreamSource,
-    cfg: ClientConfig,
     // Host buffers (user-space path).
     rx_bufs: Vec<Region>,
     rx_next: usize,
@@ -232,11 +227,7 @@ struct World {
     packets: u64,
     frames_decoded: u64,
     bytes_stored: u64,
-    cpu_util: Samples,
-    l2_rate: Samples,
-    last_busy_secs: f64,
-    last_misses: u64,
-    last_sample_at: SimTime,
+    windows: HostWindows,
     irq_deadline_pending: bool,
     /// Arrival-jitter stream, independent of the host's own RNG so the
     /// background (idle) activity is identical across scenarios.
@@ -244,21 +235,21 @@ struct World {
 }
 
 impl World {
-    fn new(cfg: ClientConfig) -> Self {
+    fn new(cfg: &ClientConfig) -> Self {
         let jitter_rng = hydra_sim::rng::DetRng::new(cfg.seed).split(0xA221);
         let mut host = HostModel::paper_host(cfg.seed ^ 0xC11E);
         host.bus = hydra_hw::bus::Bus::new(cfg.bus);
         let source = if cfg.kind == ClientKind::Idle {
             StreamSource::default()
         } else {
-            StreamSource::new(&cfg)
+            StreamSource::encoded()
         };
         let rx_bufs = (0..32)
-            .map(|i| host.space.alloc(&format!("rx{i}"), cfg.packet_bytes))
+            .map(|i| host.space.alloc(&format!("rx{i}"), PACKET_BYTES))
             .collect();
         let user_buf = host.space.alloc("user", 64 * 1024);
-        let skb_buf = host.space.alloc("skb", cfg.packet_bytes + 256);
-        let raw_bytes = cfg.width * cfg.height;
+        let skb_buf = host.space.alloc("skb", PACKET_BYTES + 256);
+        let raw_bytes = WIDTH * HEIGHT;
         let frame_ref = host.space.alloc("frame-ref", raw_bytes);
         let frame_cur = host.space.alloc("frame-cur", raw_bytes);
         let meta_buf = host.space.alloc("meta", 64 * 1024);
@@ -272,7 +263,6 @@ impl World {
             disk,
             disk_nas,
             source,
-            cfg,
             rx_bufs,
             rx_next: 0,
             user_buf,
@@ -286,30 +276,10 @@ impl World {
             packets: 0,
             frames_decoded: 0,
             bytes_stored: 0,
-            cpu_util: Samples::new(),
-            l2_rate: Samples::new(),
-            last_busy_secs: 0.0,
-            last_misses: 0,
-            last_sample_at: SimTime::ZERO,
+            windows: HostWindows::default(),
             irq_deadline_pending: false,
             jitter_rng,
         }
-    }
-
-    fn take_window_sample(&mut self, now: SimTime) {
-        let span = now.duration_since(self.last_sample_at).as_secs_f64();
-        if span <= 0.0 {
-            return;
-        }
-        let busy = self.host.cpu.utilization(now) * now.as_secs_f64();
-        self.cpu_util
-            .record(((busy - self.last_busy_secs) / span).clamp(0.0, 1.0));
-        let misses = self.host.mem.cache().stats().misses;
-        self.l2_rate
-            .record((misses - self.last_misses) as f64 / span);
-        self.last_busy_secs = busy;
-        self.last_misses = misses;
-        self.last_sample_at = now;
     }
 
     /// Appends `len` stream bytes to the recording, flushing whole blocks
@@ -397,7 +367,7 @@ fn user_space_packet(
         // The decoder only reconstructs coded blocks; skipped blocks stay
         // in place in the reference, so the memory traffic scales with
         // the coded fraction of the frame.
-        let raw = world.cfg.width * world.cfg.height;
+        let raw = WIDTH * HEIGHT;
         let coded = (raw as u64 * u64::from(frame.coded_blocks)
             / u64::from(frame.total_blocks().max(1))) as usize;
         let wr = world.host.compute_over(
@@ -408,7 +378,7 @@ fn user_space_packet(
         );
         std::mem::swap(&mut world.frame_ref, &mut world.frame_cur);
         // Blit the raw frame across the bus to the GPU framebuffer.
-        let raw = world.cfg.width * world.cfg.height;
+        let raw = WIDTH * HEIGHT;
         let blit = world.host.bus.transfer(wr.end, raw);
         world.gpu.blit_raw(blit.end, frame.display_index, raw);
         world.gpu.display();
@@ -450,25 +420,13 @@ fn offloaded_packet(
 /// Runs one client scenario to completion.
 pub fn run_client(cfg: ClientConfig) -> ClientRun {
     let kind = cfg.kind;
-    let duration = cfg.duration;
-    let sample_period = cfg.sample_period;
-    let period = cfg.period;
-    let end = SimTime::ZERO + duration;
-    let mut sim = Sim::new(World::new(cfg));
+    let end = SimTime::ZERO + cfg.duration;
+    let mut sim = Sim::new(World::new(&cfg));
 
-    sim.every(SimTime::ZERO, SimDuration::from_millis(1), move |sim| {
-        let now = sim.now();
-        sim.model_mut().host.background_tick(now);
-        now < end
-    });
-    sim.every(SimTime::ZERO + sample_period, sample_period, move |sim| {
-        let now = sim.now();
-        sim.model_mut().take_window_sample(now);
-        now < end
-    });
+    schedule_host(&mut sim, end, |w| (&mut w.host, &mut w.windows));
 
     if kind != ClientKind::Idle {
-        sim.every(SimTime::ZERO + period, period, move |sim| {
+        sim.every(SimTime::ZERO + PERIOD, PERIOD, move |sim| {
             let now = sim.now();
             // Arrival jitter from the (offloaded) server: tens of µs.
             let jitter = sim.model_mut().jitter_rng.next_below(60);
@@ -491,8 +449,8 @@ pub fn run_client(cfg: ClientConfig) -> ClientRun {
     let world = sim.into_model();
     ClientRun {
         kind,
-        cpu_util: world.cpu_util,
-        l2_miss_rate: world.l2_rate,
+        cpu_util: world.windows.cpu_util,
+        l2_miss_rate: world.windows.l2_rate,
         packets: world.packets,
         frames_decoded: world.frames_decoded,
         bytes_stored: world.bytes_stored,
@@ -564,9 +522,8 @@ mod tests {
         let kind = cfg.kind;
         let end = SimTime::ZERO + cfg.duration;
         // Re-run inline so we can inspect the world.
-        let mut sim = Sim::new(World::new(cfg));
-        let period = SimDuration::from_millis(5);
-        sim.every(SimTime::ZERO + period, period, move |sim| {
+        let mut sim = Sim::new(World::new(&cfg));
+        sim.every(SimTime::ZERO + PERIOD, PERIOD, move |sim| {
             let now = sim.now();
             let (c, f) = sim.model_mut().source.next_chunk();
             match kind {

@@ -225,17 +225,9 @@ mod tests {
     use hydra_core::runtime::RuntimeConfig;
     use hydra_sim::time::SimTime;
 
-    fn full_machine() -> DeviceRegistry {
-        let mut reg = DeviceRegistry::new();
-        reg.install(DeviceDescriptor::programmable_nic()); // dev1
-        reg.install(DeviceDescriptor::smart_disk()); // dev2
-        reg.install(DeviceDescriptor::gpu()); // dev3
-        reg
-    }
-
     #[test]
     fn figure_8_layout_is_reproduced() {
-        let mut rt = Runtime::new(full_machine(), RuntimeConfig::default());
+        let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
         register_tivo_client(&mut rt).unwrap();
         rt.create_offcode(guids::GUI, SimTime::ZERO).unwrap();
 
@@ -274,7 +266,7 @@ mod tests {
 
     #[test]
     fn components_count_traffic() {
-        let mut rt = Runtime::new(full_machine(), RuntimeConfig::default());
+        let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
         register_tivo_client(&mut rt).unwrap();
         rt.create_offcode(guids::GUI, SimTime::ZERO).unwrap();
         let dec = rt.get_offcode(guids::DECODER).unwrap();
@@ -289,7 +281,7 @@ mod tests {
 
     #[test]
     fn unknown_operation_rejected() {
-        let mut rt = Runtime::new(full_machine(), RuntimeConfig::default());
+        let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
         register_tivo_client(&mut rt).unwrap();
         rt.create_offcode(guids::GUI, SimTime::ZERO).unwrap();
         let dec = rt.get_offcode(guids::DECODER).unwrap();
@@ -326,7 +318,7 @@ mod tests {
         // channels to the Decoder (GPU) and the disk Streamer; the
         // Decoder forwards decoded data to the Display (same device).
         use hydra_core::channel::ChannelConfig;
-        let mut rt = Runtime::new(full_machine(), RuntimeConfig::default());
+        let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
         register_tivo_client(&mut rt).unwrap();
         rt.create_offcode(guids::GUI, SimTime::ZERO).unwrap();
         let id = |g| rt.get_offcode(g).unwrap();
@@ -383,7 +375,7 @@ mod tests {
 
     #[test]
     fn wire_rejects_malformed_control_calls() {
-        let mut rt = Runtime::new(full_machine(), RuntimeConfig::default());
+        let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
         register_tivo_client(&mut rt).unwrap();
         rt.create_offcode(guids::GUI, SimTime::ZERO).unwrap();
         let net = rt.get_offcode(guids::STREAMER_NET).unwrap();

@@ -14,7 +14,7 @@
 
 use hydra_core::call::{Call, Value};
 use hydra_core::channel::ChannelConfig;
-use hydra_core::device::{DeviceDescriptor, DeviceRegistry};
+use hydra_core::device::DeviceRegistry;
 use hydra_core::error::RuntimeError;
 use hydra_core::offcode::{Offcode, OffcodeCtx};
 use hydra_core::runtime::{Runtime, RuntimeConfig};
@@ -24,14 +24,18 @@ use hydra_media::frame::SyntheticVideo;
 use hydra_odf::odf::{class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument};
 use hydra_sim::time::SimTime;
 
+use bytes::Bytes;
 use hydra_devices::gpu::GpuModel;
 use hydra_devices::nic::NicModel;
 
-/// A do-nothing Offcode for the demo deployment.
+/// The demo application's Offcode: it counts its calls, answers `get`
+/// with the count, and carries the count through snapshot/restore — the
+/// minimal stateful component a live migration must not lose.
 #[derive(Debug)]
 struct DemoOffcode {
     guid: Guid,
-    name: &'static str,
+    name: String,
+    count: u64,
 }
 
 impl Offcode for DemoOffcode {
@@ -39,21 +43,43 @@ impl Offcode for DemoOffcode {
         self.guid
     }
     fn bind_name(&self) -> &str {
-        self.name
+        &self.name
     }
-    fn handle_call(&mut self, _ctx: &mut OffcodeCtx, _call: &Call) -> Result<Value, RuntimeError> {
-        Ok(Value::Unit)
+    fn handle_call(&mut self, _ctx: &mut OffcodeCtx, call: &Call) -> Result<Value, RuntimeError> {
+        if call.operation != "get" {
+            self.count += 1;
+        }
+        Ok(Value::U64(self.count))
+    }
+    fn snapshot(&self) -> Option<Bytes> {
+        Some(Bytes::copy_from_slice(&self.count.to_le_bytes()))
+    }
+    fn restore(&mut self, state: Bytes) -> Result<(), RuntimeError> {
+        let raw: [u8; 8] = state
+            .as_ref()
+            .try_into()
+            .map_err(|_| RuntimeError::Rejected("bad snapshot length".into()))?;
+        self.count = u64::from_le_bytes(raw);
+        Ok(())
     }
 }
 
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
+/// A runtime on the full testbed with `odfs` in its depot, each backed
+/// by a [`DemoOffcode`] named from the ODF's bind name.
+pub(crate) fn demo_runtime(odfs: Vec<OdfDocument>) -> Runtime {
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
+    for odf in odfs {
+        let (guid, name) = (odf.guid, odf.bind_name.clone());
+        rt.register_offcode(odf, move || {
+            Box::new(DemoOffcode {
+                guid,
+                name: name.clone(),
+                count: 0,
+            })
+        })
+        .expect("fresh depot");
     }
+    rt
 }
 
 /// The demo application's three ODF manifests (streamer → decoder →
@@ -61,7 +87,7 @@ fn class(id: u32) -> DeviceClassSpec {
 /// `repro -- lint` deployment lint.
 pub fn demo_odfs() -> Vec<OdfDocument> {
     let streamer = OdfDocument::new("tivo.Streamer", Guid(1))
-        .with_target(class(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::of(class_ids::NETWORK))
         .with_import(Import {
             file: String::new(),
             bind_name: "tivo.Decoder".into(),
@@ -70,7 +96,7 @@ pub fn demo_odfs() -> Vec<OdfDocument> {
             priority: 0,
         });
     let decoder = OdfDocument::new("tivo.Decoder", Guid(2))
-        .with_target(class(class_ids::GPU))
+        .with_target(DeviceClassSpec::of(class_ids::GPU))
         .with_import(Import {
             file: String::new(),
             bind_name: "tivo.Display".into(),
@@ -78,7 +104,8 @@ pub fn demo_odfs() -> Vec<OdfDocument> {
             constraint: ConstraintKind::Pull,
             priority: 0,
         });
-    let display = OdfDocument::new("tivo.Display", Guid(3)).with_target(class(class_ids::GPU));
+    let display =
+        OdfDocument::new("tivo.Display", Guid(3)).with_target(DeviceClassSpec::of(class_ids::GPU));
     vec![streamer, decoder, display]
 }
 
@@ -91,23 +118,7 @@ pub fn demo_odfs() -> Vec<OdfDocument> {
 /// datapath — NIC receive, bus forward, GPU decode — so at least one
 /// causal chain crosses host → NIC → GPU.
 pub fn demo_deployment() -> Runtime {
-    let mut reg = DeviceRegistry::new();
-    reg.install(DeviceDescriptor::programmable_nic()); // dev1
-    reg.install(DeviceDescriptor::smart_disk()); // dev2
-    reg.install(DeviceDescriptor::gpu()); // dev3
-    let mut rt = Runtime::new(reg, RuntimeConfig::default());
-
-    for odf in demo_odfs() {
-        let guid = odf.guid;
-        let name: &'static str = match guid {
-            Guid(1) => "tivo.Streamer",
-            Guid(2) => "tivo.Decoder",
-            _ => "tivo.Display",
-        };
-        rt.register_offcode(odf, move || Box::new(DemoOffcode { guid, name }))
-            .expect("fresh depot");
-    }
-
+    let mut rt = demo_runtime(demo_odfs());
     let root = rt
         .create_offcode(Guid(1), SimTime::ZERO)
         .expect("demo app deploys");
@@ -155,6 +166,29 @@ pub fn demo_deployment() -> Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hydra_core::device::DeviceId;
+
+    #[test]
+    fn demo_offcode_counts_answers_get_and_restores() {
+        let fresh = || DemoOffcode {
+            guid: Guid(2),
+            name: "tivo.Decoder".into(),
+            count: 0,
+        };
+        let mut ctx = OffcodeCtx::new(SimTime::ZERO, DeviceId(3));
+        let (frame, get) = (Call::new(Guid(2), "frame"), Call::new(Guid(2), "get"));
+        let mut a = fresh();
+        for n in 1..=3 {
+            assert_eq!(a.handle_call(&mut ctx, &frame), Ok(Value::U64(n)));
+        }
+        assert_eq!(a.handle_call(&mut ctx, &get), Ok(Value::U64(3)));
+
+        let mut b = fresh();
+        b.restore(a.snapshot().expect("snapshot-able"))
+            .expect("restores");
+        assert_eq!(b.handle_call(&mut ctx, &get), Ok(Value::U64(3)));
+        assert!(b.restore(Bytes::from_static(b"short")).is_err());
+    }
 
     #[test]
     fn demo_is_deterministic() {

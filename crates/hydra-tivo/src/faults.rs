@@ -17,90 +17,23 @@
 //! harness diffs two `repro -- faults` runs for exactly that).
 
 use hydra_core::call::{Call, Value};
-use hydra_core::device::{DeviceDescriptor, DeviceRegistry};
-use hydra_core::error::RuntimeError;
-use hydra_core::offcode::{Offcode, OffcodeCtx};
-use hydra_core::runtime::{Runtime, RuntimeConfig};
-use hydra_odf::odf::{class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument};
+use hydra_core::runtime::Runtime;
+use hydra_obs::json_str;
+use hydra_odf::odf::{class_ids, DeviceClassSpec, Guid, OdfDocument};
 use hydra_sim::fault::{FaultKind, FaultPlan};
 use hydra_sim::time::{SimDuration, SimTime};
 
-use bytes::Bytes;
-
-/// A demo Offcode that counts its calls and can snapshot/restore the
-/// count — the minimal "stateful component" a live migration must not
-/// lose.
-#[derive(Debug)]
-struct StatefulDemoOffcode {
-    guid: Guid,
-    name: &'static str,
-    count: u64,
-}
-
-impl Offcode for StatefulDemoOffcode {
-    fn guid(&self) -> Guid {
-        self.guid
-    }
-    fn bind_name(&self) -> &str {
-        self.name
-    }
-    fn handle_call(&mut self, _ctx: &mut OffcodeCtx, call: &Call) -> Result<Value, RuntimeError> {
-        match call.operation.as_str() {
-            "get" => Ok(Value::U64(self.count)),
-            _ => {
-                self.count += 1;
-                Ok(Value::U64(self.count))
-            }
-        }
-    }
-    fn snapshot(&self) -> Option<Bytes> {
-        Some(Bytes::copy_from_slice(&self.count.to_le_bytes()))
-    }
-    fn restore(&mut self, state: Bytes) -> Result<(), RuntimeError> {
-        let raw: [u8; 8] = state
-            .as_ref()
-            .try_into()
-            .map_err(|_| RuntimeError::Rejected("bad snapshot length".into()))?;
-        self.count = u64::from_le_bytes(raw);
-        Ok(())
-    }
-}
-
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
+use crate::demo::{demo_odfs, demo_runtime};
 
 /// The fault demo's four ODFs: the demo trio plus `tivo.Archiver` on the
 /// smart disk (a survivor that must stay put through recovery).
 pub fn fault_demo_odfs() -> Vec<OdfDocument> {
-    let streamer = OdfDocument::new("tivo.Streamer", Guid(1))
-        .with_target(class(class_ids::NETWORK))
-        .with_import(Import {
-            file: String::new(),
-            bind_name: "tivo.Decoder".into(),
-            guid: Guid(2),
-            constraint: ConstraintKind::Gang,
-            priority: 0,
-        });
-    let decoder = OdfDocument::new("tivo.Decoder", Guid(2))
-        .with_target(class(class_ids::GPU))
-        .with_import(Import {
-            file: String::new(),
-            bind_name: "tivo.Display".into(),
-            guid: Guid(3),
-            constraint: ConstraintKind::Pull,
-            priority: 0,
-        });
-    let display = OdfDocument::new("tivo.Display", Guid(3)).with_target(class(class_ids::GPU));
-    let archiver =
-        OdfDocument::new("tivo.Archiver", Guid(4)).with_target(class(class_ids::STORAGE));
-    vec![streamer, decoder, display, archiver]
+    let mut odfs = demo_odfs();
+    odfs.push(
+        OdfDocument::new("tivo.Archiver", Guid(4))
+            .with_target(DeviceClassSpec::of(class_ids::STORAGE)),
+    );
+    odfs
 }
 
 /// The committed fault schedule: the NIC (device 1) fail-stops two
@@ -114,49 +47,13 @@ pub fn fault_demo_plan() -> FaultPlan {
     )
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Runs the fault demo under `plan` and returns the runtime (recorder
 /// populated, recovery complete) plus the canonical JSON report: the
 /// schedule echo, per-pulse recovery reports, final placements, the
 /// preserved call counts, the connection audit, and the `fault.*` /
 /// `recover.*` counters. Byte-identical across runs of the same plan.
 pub fn run_fault_demo(plan: &FaultPlan) -> (Runtime, String) {
-    let mut reg = DeviceRegistry::new();
-    reg.install(DeviceDescriptor::programmable_nic()); // dev1
-    reg.install(DeviceDescriptor::smart_disk()); // dev2
-    reg.install(DeviceDescriptor::gpu()); // dev3
-    let mut rt = Runtime::new(reg, RuntimeConfig::default());
-
-    for odf in fault_demo_odfs() {
-        let guid = odf.guid;
-        let name: &'static str = match guid {
-            Guid(1) => "tivo.Streamer",
-            Guid(2) => "tivo.Decoder",
-            Guid(3) => "tivo.Display",
-            _ => "tivo.Archiver",
-        };
-        rt.register_offcode(odf, move || {
-            Box::new(StatefulDemoOffcode {
-                guid,
-                name,
-                count: 0,
-            })
-        })
-        .expect("fresh depot");
-    }
+    let mut rt = demo_runtime(fault_demo_odfs());
     rt.create_offcode(Guid(1), SimTime::ZERO)
         .expect("demo trio deploys");
     rt.create_offcode(Guid(4), SimTime::ZERO)
@@ -187,14 +84,10 @@ pub fn run_fault_demo(plan: &FaultPlan) -> (Runtime, String) {
     }
 
     let mut json = String::from("{\n");
-    json.push_str(&format!("  \"schedule\": \"{}\",\n", esc(&plan.render())));
+    json.push_str(&format!("  \"schedule\": {},\n", json_str(&plan.render())));
     json.push_str("  \"recoveries\": [\n");
     for (i, (r, at)) in reports.iter().zip(&report_times).enumerate() {
-        let displaced: Vec<String> = r
-            .displaced
-            .iter()
-            .map(|n| format!("\"{}\"", esc(n)))
-            .collect();
+        let displaced: Vec<String> = r.displaced.iter().map(|n| json_str(n)).collect();
         let migrated: Vec<String> = r
             .migrated
             .iter()
@@ -237,7 +130,7 @@ pub fn run_fault_demo(plan: &FaultPlan) -> (Runtime, String) {
     json.push_str("  ],\n");
 
     let audit = rt.audit_connections();
-    let problems: Vec<String> = audit.iter().map(|p| format!("\"{}\"", esc(p))).collect();
+    let problems: Vec<String> = audit.iter().map(|p| json_str(p)).collect();
     json.push_str(&format!("  \"audit\": [{}],\n", problems.join(", ")));
 
     let snap = rt.metrics_snapshot();
@@ -293,6 +186,13 @@ mod tests {
         let snap = rt.metrics_snapshot();
         assert_eq!(snap.counter_total("recover.migrations"), 3);
         assert_eq!(snap.counter_total("fault.device_failed"), 1);
+    }
+
+    #[test]
+    fn fault_demo_extends_the_demo_trio() {
+        let odfs = fault_demo_odfs();
+        assert_eq!(odfs[..3], demo_odfs()[..]);
+        assert_eq!(odfs.len(), 4);
     }
 
     #[test]

@@ -24,6 +24,7 @@ pub mod server;
 pub mod stats;
 pub mod storage;
 pub mod tcpmodel;
+mod testbed;
 pub mod toe;
 pub mod virtualization;
 

@@ -31,6 +31,8 @@ use hydra_sim::stats::Samples;
 use hydra_sim::time::{SimDuration, SimTime};
 use hydra_sim::Sim;
 
+use crate::testbed::{schedule_host, HostWindows, PACKET_BYTES, PERIOD};
+
 /// Which server implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServerKind {
@@ -66,19 +68,14 @@ impl ServerKind {
     }
 }
 
-/// Experiment parameters.
+/// Experiment parameters. The chunk size (1 kB), pacing period (5 ms)
+/// and utilization/L2 sampling window (5 s) are the paper's, fixed.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Which implementation.
     pub kind: ServerKind,
-    /// Chunk size (paper: 1 kB).
-    pub packet_bytes: usize,
-    /// Pacing period (paper: 5 ms).
-    pub period: SimDuration,
     /// Simulated run length (paper: 10 minutes).
     pub duration: SimDuration,
-    /// Utilization/L2 sampling period (paper: 5 s).
-    pub sample_period: SimDuration,
     /// RNG seed.
     pub seed: u64,
 }
@@ -90,10 +87,7 @@ impl ServerConfig {
     pub fn paper(kind: ServerKind, seed: u64) -> Self {
         ServerConfig {
             kind,
-            packet_bytes: 1024,
-            period: SimDuration::from_millis(5),
             duration: SimDuration::from_secs(60),
-            sample_period: SimDuration::from_secs(5),
             seed,
         }
     }
@@ -146,7 +140,6 @@ struct World {
     nas: NasServer,
     movie: hydra_net::nfs::FileHandle,
     meter: FlowMeter,
-    cfg: ServerConfig,
     // Buffers.
     kernel_bufs: Vec<Region>,
     user_buf: Region,
@@ -155,16 +148,11 @@ struct World {
     kb_next: usize,
     seq: u64,
     offset: u64,
-    // Windowed sampling state.
-    cpu_util: Samples,
-    l2_rate: Samples,
-    last_busy_secs: f64,
-    last_misses: u64,
-    last_sample_at: SimTime,
+    windows: HostWindows,
 }
 
 impl World {
-    fn new(cfg: ServerConfig) -> Self {
+    fn new(cfg: &ServerConfig) -> Self {
         let mut host = HostModel::paper_host(cfg.seed);
         if cfg.kind == ServerKind::Sendfile {
             // The sendfile loop is paced by an in-kernel timer: same tick
@@ -179,13 +167,13 @@ impl World {
         // looping changes no statistic and bounds the world's memory.
         let movie = nas.preload(
             "/movies/feature.mpg",
-            vec![0x5A; MOVIE_CHUNKS * cfg.packet_bytes],
+            vec![0x5A; MOVIE_CHUNKS * PACKET_BYTES],
         );
         let kernel_bufs = (0..16)
-            .map(|i| host.space.alloc(&format!("nfs-kbuf{i}"), cfg.packet_bytes))
+            .map(|i| host.space.alloc(&format!("nfs-kbuf{i}"), PACKET_BYTES))
             .collect();
-        let user_buf = host.space.alloc("user-buf", cfg.packet_bytes);
-        let skb_buf = host.space.alloc("skb", cfg.packet_bytes + 256);
+        let user_buf = host.space.alloc("user-buf", PACKET_BYTES);
+        let skb_buf = host.space.alloc("skb", PACKET_BYTES + 256);
         let meta_buf = host.space.alloc("socket-meta", 64 * 1024);
         World {
             host,
@@ -195,7 +183,6 @@ impl World {
             nas,
             movie,
             meter: FlowMeter::new(),
-            cfg,
             kernel_bufs,
             user_buf,
             skb_buf,
@@ -203,17 +190,13 @@ impl World {
             kb_next: 0,
             seq: 0,
             offset: 0,
-            cpu_util: Samples::new(),
-            l2_rate: Samples::new(),
-            last_busy_secs: 0.0,
-            last_misses: 0,
-            last_sample_at: SimTime::ZERO,
+            windows: HostWindows::default(),
         }
     }
 
     /// The NFS read of the movie's next chunk, wrapping at the end.
     fn next_movie_read(&mut self) -> NfsRequest {
-        let len = self.cfg.packet_bytes;
+        let len = PACKET_BYTES;
         let req = NfsRequest::Read {
             fh: self.movie,
             offset: self.offset,
@@ -254,25 +237,9 @@ impl World {
     /// Delivers the packet to the client and records the arrival.
     fn deliver(&mut self, tx_done: SimTime) {
         // Switch store-and-forward latency plus the client link.
-        let arrival = self.downlink.transmit(tx_done, self.cfg.packet_bytes + 42);
+        let arrival = self.downlink.transmit(tx_done, PACKET_BYTES + 42);
         self.meter.on_arrival(arrival, self.seq);
         self.seq += 1;
-    }
-
-    fn take_window_sample(&mut self, now: SimTime) {
-        let span = now.duration_since(self.last_sample_at).as_secs_f64();
-        if span <= 0.0 {
-            return;
-        }
-        let busy = self.host.cpu.utilization(now) * now.as_secs_f64();
-        let util = (busy - self.last_busy_secs) / span;
-        self.cpu_util.record(util.clamp(0.0, 1.0));
-        let misses = self.host.mem.cache().stats().misses;
-        self.l2_rate
-            .record((misses - self.last_misses) as f64 / span);
-        self.last_busy_secs = busy;
-        self.last_misses = misses;
-        self.last_sample_at = now;
     }
 }
 
@@ -289,19 +256,16 @@ fn simple_cycle(world: &mut World, w: SimTime) -> SimTime {
     // Copy kernel buffer (cache-cold after DMA) to the user buffer.
     let copy1 = world
         .host
-        .cpu_copy(irq.end, kbuf, world.user_buf, world.cfg.packet_bytes);
+        .cpu_copy(irq.end, kbuf, world.user_buf, PACKET_BYTES);
     // send() syscall: copy user buffer into an skb, checksum it.
     let sys2 = world.host.syscall(copy1.end);
-    let copy2 = world.host.cpu_copy(
-        sys2.end,
-        world.user_buf,
-        world.skb_buf,
-        world.cfg.packet_bytes,
-    );
+    let copy2 = world
+        .host
+        .cpu_copy(sys2.end, world.user_buf, world.skb_buf, PACKET_BYTES);
     let csum = world.host.compute_over(
         copy2.end,
         world.skb_buf,
-        Cycles::new(world.cfg.packet_bytes as u64 / 2),
+        Cycles::new(PACKET_BYTES as u64 / 2),
         AccessKind::Read,
     );
     world.touch_metadata(calib::META_BYTES);
@@ -311,7 +275,7 @@ fn simple_cycle(world: &mut World, w: SimTime) -> SimTime {
     let (host_ref, nic_ref) = (&mut world.host, &mut world.nic);
     let xfer = nic_ref.dma_from_host(path.end, &mut host_ref.bus, world.skb_buf);
     host_ref.mem.dma_transfer(world.skb_buf);
-    let tx = world.nic.tx_process(xfer.end, world.cfg.packet_bytes);
+    let tx = world.nic.tx_process(xfer.end, PACKET_BYTES);
     world.deliver(tx.end);
     path.end
 }
@@ -328,7 +292,7 @@ fn sendfile_cycle(world: &mut World, w: SimTime) -> SimTime {
     let (host_ref, nic_ref) = (&mut world.host, &mut world.nic);
     let xfer = nic_ref.dma_from_host(path.end, &mut host_ref.bus, kbuf);
     host_ref.mem.dma_transfer(kbuf);
-    let tx = world.nic.tx_process(xfer.end, world.cfg.packet_bytes);
+    let tx = world.nic.tx_process(xfer.end, PACKET_BYTES);
     world.deliver(tx.end);
     path.end
 }
@@ -344,36 +308,23 @@ fn offloaded_cycle(world: &mut World, t: SimTime) {
     let (_resp, service) = world.nas.handle(&req);
     let resp_in = world
         .nas_link
-        .transmit(req_out + service, world.cfg.packet_bytes + 64);
+        .transmit(req_out + service, PACKET_BYTES + 64);
     // Broadcast Offcode: packetize and transmit from NIC local memory.
     let fw2 = world
         .nic
-        .offcode_work(resp_in, world.cfg.packet_bytes, Cycles::new(600));
-    let tx = world.nic.tx_process(fw2.end, world.cfg.packet_bytes);
+        .offcode_work(resp_in, PACKET_BYTES, Cycles::new(600));
+    let tx = world.nic.tx_process(fw2.end, PACKET_BYTES);
     world.deliver(tx.end);
 }
 
 /// Runs one server scenario to completion.
 pub fn run_server(cfg: ServerConfig) -> ServerRun {
     let kind = cfg.kind;
-    let duration = cfg.duration;
-    let sample_period = cfg.sample_period;
-    let end = SimTime::ZERO + duration;
-    let mut sim = Sim::new(World::new(cfg));
+    let end = SimTime::ZERO + cfg.duration;
+    let mut sim = Sim::new(World::new(&cfg));
 
-    // Background OS load on the host, always.
-    sim.every(SimTime::ZERO, SimDuration::from_millis(1), move |sim| {
-        let now = sim.now();
-        sim.model_mut().host.background_tick(now);
-        now < end
-    });
-
-    // Periodic window sampling.
-    sim.every(SimTime::ZERO + sample_period, sample_period, move |sim| {
-        let now = sim.now();
-        sim.model_mut().take_window_sample(now);
-        now < end
-    });
+    // Background OS load on the host and window sampling, always.
+    schedule_host(&mut sim, end, |w| (&mut w.host, &mut w.windows));
 
     // The streaming workload.
     match kind {
@@ -389,7 +340,7 @@ pub fn run_server(cfg: ServerConfig) -> ServerRun {
                 // Relative sleep: the loop sleeps `period` after finishing,
                 // so tick quantization and overshoot accumulate into the
                 // inter-packet gap.
-                let target = done + sim.model().cfg.period;
+                let target = done + PERIOD;
                 let wake = sim.model_mut().host.wakeup(target);
                 if wake < end {
                     sim.schedule_at(wake.max(sim.now()), move |sim| cycle(sim, kind, end));
@@ -400,9 +351,8 @@ pub fn run_server(cfg: ServerConfig) -> ServerRun {
         }
         ServerKind::Offloaded => {
             fn cycle(sim: &mut Sim<World>, n: u64, end: SimTime) {
-                let period = sim.model().cfg.period;
                 // Absolute pacing on the firmware timer: no drift.
-                let target = SimTime::ZERO + period * (n + 1);
+                let target = SimTime::ZERO + PERIOD * (n + 1);
                 let fire = sim.model_mut().nic.timer_fire(target);
                 if fire < end {
                     sim.schedule_at(fire.max(sim.now()), move |sim| {
@@ -421,8 +371,8 @@ pub fn run_server(cfg: ServerConfig) -> ServerRun {
     ServerRun {
         kind,
         jitter_ms: world.meter.gaps_ms().clone(),
-        cpu_util: world.cpu_util,
-        l2_miss_rate: world.l2_rate,
+        cpu_util: world.windows.cpu_util,
+        l2_miss_rate: world.windows.l2_rate,
         packets_delivered: world.meter.received(),
     }
 }
@@ -538,17 +488,17 @@ mod tests {
 
     #[test]
     fn movie_reads_wrap_and_stay_whole() {
-        let mut world = World::new(ServerConfig::paper(ServerKind::Simple, 42));
+        let mut world = World::new(&ServerConfig::paper(ServerKind::Simple, 42));
         for n in 0..2 * MOVIE_CHUNKS + 3 {
             let req = world.next_movie_read();
             let NfsRequest::Read { offset, .. } = req else {
                 unreachable!("movie reads are reads")
             };
-            assert_eq!(offset, ((n % MOVIE_CHUNKS) * world.cfg.packet_bytes) as u64);
+            assert_eq!(offset, ((n % MOVIE_CHUNKS) * PACKET_BYTES) as u64);
             let (NfsResponse::Data(d), _) = world.nas.handle(&req) else {
                 panic!("movie read failed")
             };
-            assert_eq!(d.len(), world.cfg.packet_bytes);
+            assert_eq!(d.len(), PACKET_BYTES);
         }
     }
 

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example tivo_pc`
 
-use hydra::core::device::{DeviceDescriptor, DeviceRegistry};
+use hydra::core::device::DeviceRegistry;
 use hydra::core::runtime::{Runtime, RuntimeConfig};
 use hydra::sim::time::SimDuration;
 use hydra::tivo::components::{guids, register_tivo_client};
@@ -19,11 +19,7 @@ use hydra::tivo::playback::{run_record_playback, PlaybackConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Deployment: the Figure 8 layout. ---------------------------
-    let mut devices = DeviceRegistry::new();
-    devices.install(DeviceDescriptor::programmable_nic());
-    devices.install(DeviceDescriptor::smart_disk());
-    devices.install(DeviceDescriptor::gpu());
-    let mut rt = Runtime::new(devices, RuntimeConfig::default());
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
     register_tivo_client(&mut rt)?;
     rt.create_offcode(guids::GUI, hydra::sim::time::SimTime::ZERO)?;
 

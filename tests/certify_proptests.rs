@@ -10,7 +10,7 @@
 //! * seeded overload mutations always fire the matching diagnostic:
 //!   an oversized burst fires `HV040`, an unserviceable rate `HV041`.
 
-use hydra::core::device::{DeviceDescriptor, DeviceRegistry};
+use hydra::core::device::DeviceRegistry;
 use hydra::odf::odf::{
     class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument, TrafficSpec,
 };
@@ -18,22 +18,8 @@ use hydra::tivo::certify::{certify_service_table, observe_declared};
 use hydra::verify::{Certification, CertifyInput, HvCode, VerifyInput};
 use proptest::prelude::*;
 
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
-
 fn certify(odfs: &[OdfDocument]) -> Certification {
-    let mut reg = DeviceRegistry::new();
-    reg.install(DeviceDescriptor::programmable_nic());
-    reg.install(DeviceDescriptor::smart_disk());
-    reg.install(DeviceDescriptor::gpu());
-    let table = reg.verify_table();
+    let table = DeviceRegistry::testbed().verify_table();
     let services = certify_service_table();
     hydra::verify::certify(&CertifyInput {
         verify: VerifyInput {
@@ -85,7 +71,7 @@ fn chain(seeds: &[u64]) -> Vec<OdfDocument> {
         .map(|(i, h)| {
             let mut odf = OdfDocument::new(format!("chain.{i}"), Guid(0x4000 + i as u64));
             if let Some(id) = h.target {
-                odf = odf.with_target(class(id));
+                odf = odf.with_target(DeviceClassSpec::of(id));
             }
             if i + 1 < n {
                 odf = odf

@@ -9,7 +9,7 @@ use hydra::core::error::RuntimeError;
 use hydra::core::offcode::{Offcode, OffcodeCtx};
 use hydra::core::runtime::{Lifecycle, Runtime, RuntimeConfig};
 use hydra::hw::cpu::Cycles;
-use hydra::odf::odf::{Guid, OdfDocument};
+use hydra::odf::odf::{class_ids, DeviceClassSpec, Guid, OdfDocument};
 use hydra::sim::time::SimTime;
 
 #[derive(Debug)]
@@ -29,14 +29,6 @@ impl Offcode for Echo {
         ctx.charge(Cycles::new(10));
         Ok(call.args.first().cloned().unwrap_or(Value::Unit))
     }
-}
-
-fn machine() -> DeviceRegistry {
-    let mut reg = DeviceRegistry::new();
-    reg.install(DeviceDescriptor::programmable_nic());
-    reg.install(DeviceDescriptor::smart_disk());
-    reg.install(DeviceDescriptor::gpu());
-    reg
 }
 
 /// The paper's Figure 4 ODF drives a real deployment.
@@ -74,7 +66,7 @@ fn xml_odf_to_running_offcode() {
       </targets>
     </offcode>";
 
-    let mut rt = Runtime::new(machine(), RuntimeConfig::default());
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
     for xml in [socket_odf, checksum_odf] {
         let odf = OdfDocument::parse(xml).expect("paper ODF parses");
         let guid = odf.guid;
@@ -102,14 +94,8 @@ fn xml_odf_to_running_offcode() {
 
 #[test]
 fn invoke_and_channel_paths_agree() {
-    let mut rt = Runtime::new(machine(), RuntimeConfig::default());
-    let odf = OdfDocument::new("echo", Guid(5)).with_target(hydra::odf::odf::DeviceClassSpec {
-        id: hydra::odf::odf::class_ids::GPU,
-        name: "GPU".into(),
-        bus: None,
-        mac: None,
-        vendor: None,
-    });
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
+    let odf = OdfDocument::new("echo", Guid(5)).with_target(DeviceClassSpec::of(class_ids::GPU));
     rt.register_offcode(odf, || {
         Box::new(Echo {
             guid: Guid(5),
@@ -140,7 +126,7 @@ fn invoke_and_channel_paths_agree() {
 
 #[test]
 fn teardown_cascades_resources() {
-    let mut rt = Runtime::new(machine(), RuntimeConfig::default());
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
     rt.register_offcode(OdfDocument::new("a", Guid(1)), || {
         Box::new(Echo {
             guid: Guid(1),
@@ -181,13 +167,7 @@ fn host_fallback_when_devices_are_full() {
         ..RuntimeConfig::default()
     };
     let mut rt = Runtime::new(reg, config);
-    let odf = OdfDocument::new("big", Guid(9)).with_target(hydra::odf::odf::DeviceClassSpec {
-        id: hydra::odf::odf::class_ids::NETWORK,
-        name: "nic".into(),
-        bus: None,
-        mac: None,
-        vendor: None,
-    });
+    let odf = OdfDocument::new("big", Guid(9)).with_target(DeviceClassSpec::of(class_ids::NETWORK));
     rt.register_offcode(odf, || {
         Box::new(Echo {
             guid: Guid(9),
@@ -208,14 +188,8 @@ fn host_fallback_when_devices_are_full() {
 /// than duplicate it.
 #[test]
 fn two_applications_share_one_offcode_instance() {
-    let mut rt = Runtime::new(machine(), RuntimeConfig::default());
-    let shared_class = hydra::odf::odf::DeviceClassSpec {
-        id: hydra::odf::odf::class_ids::NETWORK,
-        name: "nic".into(),
-        bus: None,
-        mac: None,
-        vendor: None,
-    };
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
+    let shared_class = DeviceClassSpec::of(class_ids::NETWORK);
     let shared = OdfDocument::new("shared.Checksum", Guid(100)).with_target(shared_class.clone());
     let app_a = OdfDocument::new("app.A", Guid(1))
         .with_target(shared_class.clone())
@@ -302,22 +276,10 @@ impl Offcode for StatefulCounter {
 /// the snapshot/restore hooks.
 #[test]
 fn migration_preserves_offcode_state() {
-    let mut rt = Runtime::new(machine(), RuntimeConfig::default());
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
     let odf = OdfDocument::new("test.Counter", Guid(0xC0DE))
-        .with_target(hydra::odf::odf::DeviceClassSpec {
-            id: hydra::odf::odf::class_ids::NETWORK,
-            name: "nic".into(),
-            bus: None,
-            mac: None,
-            vendor: None,
-        })
-        .with_target(hydra::odf::odf::DeviceClassSpec {
-            id: hydra::odf::odf::class_ids::GPU,
-            name: "gpu".into(),
-            bus: None,
-            mac: None,
-            vendor: None,
-        });
+        .with_target(DeviceClassSpec::of(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::of(class_ids::GPU));
     rt.register_offcode(odf, || Box::new(StatefulCounter { count: 0 }))
         .expect("registers");
     let id = rt
@@ -350,16 +312,9 @@ fn migration_preserves_offcode_state() {
 
 #[test]
 fn migration_to_incompatible_device_is_rejected() {
-    let mut rt = Runtime::new(machine(), RuntimeConfig::default());
-    let odf = OdfDocument::new("test.Counter", Guid(0xC0DE)).with_target(
-        hydra::odf::odf::DeviceClassSpec {
-            id: hydra::odf::odf::class_ids::NETWORK,
-            name: "nic".into(),
-            bus: None,
-            mac: None,
-            vendor: None,
-        },
-    );
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
+    let odf = OdfDocument::new("test.Counter", Guid(0xC0DE))
+        .with_target(DeviceClassSpec::of(class_ids::NETWORK));
     rt.register_offcode(odf, || Box::new(StatefulCounter { count: 0 }))
         .expect("registers");
     let id = rt
@@ -378,7 +333,7 @@ fn migration_to_incompatible_device_is_rejected() {
 
 #[test]
 fn non_migratable_offcodes_stay_put() {
-    let mut rt = Runtime::new(machine(), RuntimeConfig::default());
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
     rt.register_offcode(OdfDocument::new("echo", Guid(1)), || {
         Box::new(Echo {
             guid: Guid(1),
@@ -398,15 +353,9 @@ fn non_migratable_offcodes_stay_put() {
 
 #[test]
 fn channel_to_wrong_device_is_rejected() {
-    let mut rt = Runtime::new(machine(), RuntimeConfig::default());
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
     rt.register_offcode(
-        OdfDocument::new("echo", Guid(1)).with_target(hydra::odf::odf::DeviceClassSpec {
-            id: hydra::odf::odf::class_ids::NETWORK,
-            name: "nic".into(),
-            bus: None,
-            mac: None,
-            vendor: None,
-        }),
+        OdfDocument::new("echo", Guid(1)).with_target(DeviceClassSpec::of(class_ids::NETWORK)),
         || {
             Box::new(Echo {
                 guid: Guid(1),
@@ -432,7 +381,7 @@ fn channel_to_wrong_device_is_rejected() {
 /// runtime services are reachable as pseudo-Offcodes by bind name.
 #[test]
 fn pseudo_offcodes_are_reachable_by_name() {
-    let mut rt = Runtime::new(machine(), RuntimeConfig::default());
+    let mut rt = Runtime::new(DeviceRegistry::testbed(), RuntimeConfig::default());
     rt.install_pseudo_offcodes(SimTime::ZERO).expect("installs");
     let heap_guid = rt.lookup_bind_name("hydra.Heap").expect("registered");
     let heap = rt.get_offcode(heap_guid).expect("deployed");

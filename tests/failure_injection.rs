@@ -447,13 +447,8 @@ mod fault_plans {
     }
 
     fn network_odf() -> OdfDocument {
-        OdfDocument::new("test.Plain", Guid(0x11)).with_target(DeviceClassSpec {
-            id: class_ids::NETWORK,
-            name: "class-network".into(),
-            bus: None,
-            mac: None,
-            vendor: None,
-        })
+        OdfDocument::new("test.Plain", Guid(0x11))
+            .with_target(DeviceClassSpec::of(class_ids::NETWORK))
     }
 
     /// Wedged descriptor-ring slots belong to the live ring: once every
@@ -529,16 +524,6 @@ mod gang_recovery {
     use hydra::odf::odf::{class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument};
     use hydra::sim::time::SimTime;
 
-    fn class(id: u32) -> DeviceClassSpec {
-        DeviceClassSpec {
-            id,
-            name: format!("class-{id}"),
-            bus: None,
-            mac: None,
-            vendor: None,
-        }
-    }
-
     #[derive(Debug)]
     struct Snap {
         guid: Guid,
@@ -584,9 +569,10 @@ mod gang_recovery {
             priority: 0,
         });
         for c in a_classes {
-            a = a.with_target(class(*c));
+            a = a.with_target(DeviceClassSpec::of(*c));
         }
-        let b = OdfDocument::new("test.B", Guid(2)).with_target(class(class_ids::GPU));
+        let b =
+            OdfDocument::new("test.B", Guid(2)).with_target(DeviceClassSpec::of(class_ids::GPU));
         rt.register_offcode(a, || {
             Box::new(Snap {
                 guid: Guid(1),

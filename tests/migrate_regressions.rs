@@ -20,16 +20,6 @@ use hydra::odf::odf::{class_ids, DeviceClassSpec, Guid, OdfDocument};
 use hydra::sim::time::SimTime;
 use proptest::prelude::*;
 
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
-
 /// A snapshot-able counter whose restore/start legs can be made to fail a
 /// programmed number of times (shared across instances via the factory).
 #[derive(Debug)]
@@ -101,8 +91,8 @@ fn register_counter(rt: &mut Runtime) -> (Rc<Cell<u32>>, Rc<Cell<u32>>) {
     let fail_starts = Rc::new(Cell::new(0u32));
     let (fr, fs) = (Rc::clone(&fail_restores), Rc::clone(&fail_starts));
     let odf = OdfDocument::new("test.Counter", Guid(7))
-        .with_target(class(class_ids::NETWORK))
-        .with_target(class(class_ids::GPU));
+        .with_target(DeviceClassSpec::of(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::of(class_ids::GPU));
     rt.register_offcode(odf, move || {
         Box::new(Counter {
             guid: Guid(7),
@@ -255,7 +245,8 @@ fn non_migratable_offcode_is_rejected_up_front() {
     reg.install(DeviceDescriptor::programmable_nic());
     let mut rt = Runtime::new(reg, RuntimeConfig::default());
     rt.register_offcode(
-        OdfDocument::new("test.Plain", Guid(8)).with_target(class(class_ids::NETWORK)),
+        OdfDocument::new("test.Plain", Guid(8))
+            .with_target(DeviceClassSpec::of(class_ids::NETWORK)),
         || Box::new(Plain),
     )
     .expect("fresh depot");
@@ -293,7 +284,8 @@ fn teardown_closes_endpoints_on_foreign_channels() {
     let mut rt = Runtime::new(reg, RuntimeConfig::default());
     let (_, _) = register_counter(&mut rt);
     rt.register_offcode(
-        OdfDocument::new("test.Second", Guid(9)).with_target(class(class_ids::NETWORK)),
+        OdfDocument::new("test.Second", Guid(9))
+            .with_target(DeviceClassSpec::of(class_ids::NETWORK)),
         || Counter::boxed(Guid(9), "test.Second"),
     )
     .expect("fresh depot");
@@ -351,7 +343,7 @@ proptest! {
             let guid = Guid(100 + g);
             let name = format!("test.P{g}");
             let odf = OdfDocument::new(name.clone(), guid)
-                .with_target(class(class_ids::NETWORK));
+                .with_target(DeviceClassSpec::of(class_ids::NETWORK));
             rt.register_offcode(odf, move || Counter::boxed(guid, &name))
                 .expect("fresh depot");
         }

@@ -9,7 +9,7 @@
 
 use hydra::core::call::{Call, Value};
 use hydra::core::channel::ChannelConfig;
-use hydra::core::device::{DeviceDescriptor, DeviceRegistry};
+use hydra::core::device::DeviceRegistry;
 use hydra::core::error::RuntimeError;
 use hydra::core::offcode::{Offcode, OffcodeCtx};
 use hydra::core::runtime::{Runtime, RuntimeConfig, SolverKind};
@@ -34,26 +34,12 @@ impl Offcode for Sink {
     }
 }
 
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
-
 /// Deploys a three-Offcode app with Gang and Pull constraints, then
 /// pushes traffic through a Figure-3 channel. Returns the runtime with
 /// its populated recorder.
 fn run_scenario(solver: SolverKind) -> Runtime {
-    let mut reg = DeviceRegistry::new();
-    reg.install(DeviceDescriptor::programmable_nic());
-    reg.install(DeviceDescriptor::smart_disk());
-    reg.install(DeviceDescriptor::gpu());
     let mut rt = Runtime::new(
-        reg,
+        DeviceRegistry::testbed(),
         RuntimeConfig {
             solver,
             ..RuntimeConfig::default()
@@ -61,7 +47,7 @@ fn run_scenario(solver: SolverKind) -> Runtime {
     );
 
     let a = OdfDocument::new("d.A", Guid(1))
-        .with_target(class(class_ids::NETWORK))
+        .with_target(DeviceClassSpec::of(class_ids::NETWORK))
         .with_import(Import {
             file: String::new(),
             bind_name: "d.B".into(),
@@ -70,7 +56,7 @@ fn run_scenario(solver: SolverKind) -> Runtime {
             priority: 0,
         });
     let b = OdfDocument::new("d.B", Guid(2))
-        .with_target(class(class_ids::GPU))
+        .with_target(DeviceClassSpec::of(class_ids::GPU))
         .with_import(Import {
             file: String::new(),
             bind_name: "d.C".into(),
@@ -78,7 +64,7 @@ fn run_scenario(solver: SolverKind) -> Runtime {
             constraint: ConstraintKind::Pull,
             priority: 0,
         });
-    let c = OdfDocument::new("d.C", Guid(3)).with_target(class(class_ids::GPU));
+    let c = OdfDocument::new("d.C", Guid(3)).with_target(DeviceClassSpec::of(class_ids::GPU));
     rt.register_offcode(a, || {
         Box::new(Sink {
             guid: Guid(1),

@@ -7,21 +7,11 @@
 //!   device class to the empty set, adding a Gang back-edge — fire the
 //!   matching `HVxxx` diagnostic every time.
 
-use hydra::core::device::{DeviceDescriptor, DeviceRegistry};
+use hydra::core::device::DeviceRegistry;
 use hydra::core::layout::{LayoutGraph, Objective};
 use hydra::odf::odf::{class_ids, ConstraintKind, DeviceClassSpec, Guid, Import, OdfDocument};
 use hydra::verify::{HvCode, Report, VerifyInput};
 use proptest::prelude::*;
-
-fn class(id: u32) -> DeviceClassSpec {
-    DeviceClassSpec {
-        id,
-        name: format!("class-{id}"),
-        bus: None,
-        mac: None,
-        vendor: None,
-    }
-}
 
 fn constraint_from(idx: u8) -> ConstraintKind {
     match idx % 4 {
@@ -30,14 +20,6 @@ fn constraint_from(idx: u8) -> ConstraintKind {
         2 => ConstraintKind::Gang,
         _ => ConstraintKind::AsymGang,
     }
-}
-
-fn testbed() -> DeviceRegistry {
-    let mut reg = DeviceRegistry::new();
-    reg.install(DeviceDescriptor::programmable_nic());
-    reg.install(DeviceDescriptor::smart_disk());
-    reg.install(DeviceDescriptor::gpu());
-    reg
 }
 
 /// Decodes one packed `u64` into a candidate `(from, to, kind)` edge.
@@ -58,11 +40,11 @@ fn valid_set(extra_classes: &[u8], edges: &[u64]) -> Vec<OdfDocument> {
     let mut odfs: Vec<OdfDocument> = (0..n)
         .map(|i| {
             let mut odf = OdfDocument::new(format!("oc.N{i}"), Guid(i as u64 + 1))
-                .with_target(class(class_ids::NETWORK));
+                .with_target(DeviceClassSpec::of(class_ids::NETWORK));
             match extra_classes[i] % 3 {
                 0 => {}
-                1 => odf.targets.push(class(class_ids::STORAGE)),
-                _ => odf.targets.push(class(class_ids::GPU)),
+                1 => odf.targets.push(DeviceClassSpec::of(class_ids::STORAGE)),
+                _ => odf.targets.push(DeviceClassSpec::of(class_ids::GPU)),
             }
             odf
         })
@@ -88,7 +70,7 @@ fn valid_set(extra_classes: &[u8], edges: &[u64]) -> Vec<OdfDocument> {
 }
 
 fn verify_set(odfs: &[OdfDocument]) -> Report {
-    let table = testbed().verify_table();
+    let table = DeviceRegistry::testbed().verify_table();
     hydra::verify::verify(&VerifyInput {
         odfs,
         devices: &table,
@@ -118,7 +100,7 @@ proptest! {
             report.render_human()
         );
 
-        let reg = testbed();
+        let reg = DeviceRegistry::testbed();
         let graph = LayoutGraph::from_odfs(&odfs, &reg).expect("valid set builds a graph");
         let placement = graph.resolve_ilp(&Objective::MaximizeOffloading);
         prop_assert!(placement.is_ok(), "solver must accept a verified-clean set");
@@ -164,7 +146,7 @@ proptest! {
     ) {
         let mut odfs = valid_set(&extra, &edges);
         let i = (which as usize) % odfs.len();
-        let mut impossible = class(class_ids::NETWORK);
+        let mut impossible = DeviceClassSpec::of(class_ids::NETWORK);
         impossible.vendor = Some("NoSuchVendor".into());
         odfs[i].targets = vec![impossible];
         let report = verify_set(&odfs);
