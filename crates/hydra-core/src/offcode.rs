@@ -186,12 +186,8 @@ pub fn synthetic_object(bind_name: &str, code_bytes: usize, data_bytes: usize) -
     // Deterministic pseudo-code derived from the name, so different
     // Offcodes produce different images.
     let seed: u64 = bind_name.bytes().map(u64::from).sum();
-    let text: Vec<u8> = (0..code_bytes)
-        .map(|i| ((i as u64).wrapping_mul(31).wrapping_add(seed) % 251) as u8)
-        .collect();
-    let data: Vec<u8> = (0..data_bytes)
-        .map(|i| ((i as u64).wrapping_mul(17).wrapping_add(seed) % 251) as u8)
-        .collect();
+    let text = periodic_bytes(code_bytes, 31, seed);
+    let data = periodic_bytes(data_bytes, 17, seed);
     let mut obj = HofObject::new(bind_name)
         .with_section(Section::text(text))
         .with_section(Section::data(data))
@@ -225,6 +221,22 @@ pub fn synthetic_object(bind_name: &str, code_bytes: usize, data_bytes: usize) -
             });
     }
     obj
+}
+
+/// `len` bytes of `(step·i + seed) mod 251`. The sequence repeats every
+/// 251 bytes (`step·251 ≡ 0 mod 251`), so one period is computed and the
+/// rest is copied from it.
+fn periodic_bytes(len: usize, step: u64, seed: u64) -> Vec<u8> {
+    const PERIOD: u64 = 251;
+    let period: Vec<u8> = (0..PERIOD)
+        .map(|i| ((i * step + seed) % PERIOD) as u8)
+        .collect();
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let n = (len - out.len()).min(period.len());
+        out.extend_from_slice(&period[..n]);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -295,10 +307,54 @@ mod tests {
         assert_ne!(obj.sections[0].bytes, other.sections[0].bytes);
     }
 
+    /// The per-byte image formula, one modulo per byte: the reference
+    /// `synthetic_object` must reproduce exactly.
+    fn per_byte_image(bind_name: &str, code_bytes: usize, data_bytes: usize) -> (Vec<u8>, Vec<u8>) {
+        let seed: u64 = bind_name.bytes().map(u64::from).sum();
+        let text = (0..code_bytes)
+            .map(|i| ((i as u64).wrapping_mul(31).wrapping_add(seed) % 251) as u8)
+            .collect();
+        let data = (0..data_bytes)
+            .map(|i| ((i as u64).wrapping_mul(17).wrapping_add(seed) % 251) as u8)
+            .collect();
+        (text, data)
+    }
+
+    #[test]
+    fn synthetic_object_matches_the_per_byte_formula() {
+        // "a" sums to 97 (< 251); the other two sum past 251, the last
+        // past two whole periods.
+        let names = ["a", "tivo.Streamer", "churn.set0042.offcode17"];
+        assert!(names[0].bytes().map(u64::from).sum::<u64>() < 251);
+        assert!(names[2].bytes().map(u64::from).sum::<u64>() > 2 * 251);
+        let sizes = [0, 1, 250, 251, 252, 251 * 7 + 13, 8 * 1024, 768 * 1024];
+        for name in names {
+            for code in sizes {
+                for data_size in sizes {
+                    let obj = synthetic_object(name, code, data_size);
+                    let (text, data) = per_byte_image(name, code, data_size);
+                    assert_eq!(obj.sections[0].bytes, text, "{name} text {code}");
+                    assert_eq!(obj.sections[1].bytes, data, "{name} data {data_size}");
+                    let reference = HofObject::new(name)
+                        .with_section(Section::text(text))
+                        .with_section(Section::data(data))
+                        .with_section(Section::bss(4096));
+                    assert_eq!(
+                        obj.load_size(),
+                        reference.load_size(),
+                        "{name} {code}/{data_size}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn default_object_file_uses_bind_name() {
         let obj = Echo.object_file();
         assert_eq!(obj.name, "test.Echo");
         assert!(obj.symbols.iter().any(|s| s.name == "test.Echo_entry"));
+        // 8 KiB text + 1 KiB data + 4 KiB BSS.
+        assert_eq!(obj.load_size(), 13 * 1024);
     }
 }

@@ -618,22 +618,6 @@ impl Runtime {
         }
     }
 
-    /// Convenience: `create_offcode` by bind name.
-    ///
-    /// # Errors
-    ///
-    /// As [`Runtime::create_offcode`]; also fails if the name is unknown.
-    pub fn create_offcode_by_name(
-        &mut self,
-        bind_name: &str,
-        now: SimTime,
-    ) -> Result<OffcodeId, RuntimeError> {
-        let guid = self
-            .lookup_bind_name(bind_name)
-            .ok_or_else(|| RuntimeError::Rejected(format!("unknown bind name '{bind_name}'")))?;
-        self.create_offcode(guid, now)
-    }
-
     /// The not-yet-deployed transitive import closure of `guid`, root
     /// first, plus the closure's ODFs with imports narrowed to the set
     /// (imports of already-deployed Offcodes were satisfied at their own
@@ -665,6 +649,12 @@ impl Runtime {
         Ok((order, odfs))
     }
 
+    /// The memory an Offcode needs on a device: the load size of the
+    /// object file its factory builds.
+    fn demand(&self, guid: Guid) -> u64 {
+        u64::from((self.depot[&guid].factory)().object_file().load_size())
+    }
+
     /// Runs the static verifier over a closure, feeding pass statistics
     /// into the observability recorder. Demands are the real linked
     /// object sizes (each factory's object file), not the ODF estimates.
@@ -676,10 +666,7 @@ impl Runtime {
         now: SimTime,
     ) -> hydra_verify::Report {
         let table = self.devices.verify_table();
-        let demands: Vec<u64> = order
-            .iter()
-            .map(|g| u64::from((self.depot[g].factory)().object_file().load_size()))
-            .collect();
+        let demands: Vec<u64> = order.iter().map(|&g| self.demand(g)).collect();
         let roots = [root];
         let report = hydra_verify::verify(&hydra_verify::VerifyInput {
             odfs,
@@ -703,10 +690,7 @@ impl Runtime {
     ) -> hydra_verify::Certification {
         let table = self.devices.verify_table();
         let services = self.executive.service_table();
-        let demands: Vec<u64> = order
-            .iter()
-            .map(|g| u64::from((self.depot[g].factory)().object_file().load_size()))
-            .collect();
+        let demands: Vec<u64> = order.iter().map(|&g| self.demand(g)).collect();
         let roots = [root];
         let cert = hydra_verify::certify(&hydra_verify::CertifyInput {
             verify: hydra_verify::VerifyInput {
@@ -1326,18 +1310,16 @@ impl Runtime {
         if target.is_host() {
             return Ok(()); // the host is the fallback, never pre-rejected
         }
-        let entry = &self.depot[&guid];
         let full = self.devices.verify_table();
         let mut target_info = full.devices[target.idx()].clone();
         target_info.offcode_memory = self.allocators[target.idx()].available();
         let table = hydra_verify::DeviceTable {
             devices: vec![full.devices[0].clone(), target_info],
         };
-        let mut odf = entry.odf.clone();
+        let mut odf = self.depot[&guid].odf.clone();
         odf.imports.clear();
-        let demand = u64::from((entry.factory)().object_file().load_size());
         let odfs = [odf];
-        let demands = [demand];
+        let demands = [self.demand(guid)];
         let roots = [guid];
         let report = hydra_verify::verify(&hydra_verify::VerifyInput {
             odfs: &odfs,

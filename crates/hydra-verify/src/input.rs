@@ -11,8 +11,9 @@
 use hydra_odf::odf::{ConstraintKind, DeviceClassSpec, Guid, OdfDocument, TrafficSpec};
 
 /// Default worst-case footprint assumed for an Offcode whose ODF does not
-/// declare one (bytes). Matches the synthetic 8 KiB text + 1 KiB data
+/// declare one (bytes): the 8 KiB text + 1 KiB data of the synthetic
 /// object the runtime links for components without a real object file.
+/// That object's load size also counts 4 KiB of BSS (13 KiB in all).
 pub const DEFAULT_FOOTPRINT: u64 = 9 * 1024;
 
 /// What the verifier knows about one installed device.
